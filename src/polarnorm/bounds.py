@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .forms import COMPLEX, REAL, Pattern, as_pattern
+from .forms import COMPLEX, REAL, Pattern, as_pattern, conjugate_exponent
 
 BOTH = "both"
 
@@ -83,14 +83,6 @@ def _lgamma1(n: float) -> float:
 def _xlogx(k: float) -> float:
     """k log k with the 0^0 := 1 convention."""
     return 0.0 if k == 0 else k * math.log(k)
-
-
-def _conj(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 def _check_p(p: float) -> float:
@@ -208,7 +200,7 @@ def bound_Kmp(m: int, p: float) -> BoundRecord:
         log_value = (m / p) * log_m - _lgamma1(m)
         sharp = True
     elif p >= m:
-        pprime = _conj(p)
+        pprime = conjugate_exponent(p)
         log_value = (m / pprime) * log_m - _lgamma1(m)
         sharp = False
     else:
@@ -289,7 +281,7 @@ def bound_complex_lp(pattern, p: float) -> BoundRecord:
             citation="Cauchy-formula bound with torus averaging; attained by block products",
         )
     if p >= m:
-        value, log_value = _value_at_exponent(1.0 / _conj(p))
+        value, log_value = _value_at_exponent(1.0 / conjugate_exponent(p))
         return _record(
             "complex_lp",
             log_value,
@@ -347,7 +339,7 @@ def markov_complex_lp(k: int, m: int, p: float) -> BoundRecord:
     if p <= mprime:
         exponent, sharp, lo, hi = 1.0 / p, True, 1.0, mprime
     elif p >= m:
-        exponent, sharp, lo, hi = 1.0 / _conj(p), False, m, math.inf
+        exponent, sharp, lo, hi = 1.0 / conjugate_exponent(p), False, m, math.inf
     else:
         exponent, sharp, lo, hi = 1.0 / mprime, False, mprime, m
     value = None
@@ -463,18 +455,24 @@ def bound_real_hilbert(pattern) -> BoundRecord:
     )
 
 
+def _registry_exact(winner: BoundRecord, pat: Pattern, field: str):
+    """(exact, note) for a best-bound record: the winner's name, plus the
+    known exact constant when SHARP_PATTERN_REGISTRY has one."""
+    note = f"from {winner.name}"
+    entry = SHARP_PATTERN_REGISTRY.get((field, tuple(sorted(pat.multiplicities))))
+    if entry is None:
+        return None, note
+    exact, cite = entry
+    return exact, f"{note}; exact constant {exact} ({cite})"
+
+
 def bound_real_best(pattern) -> BoundRecord:
     """Smaller of the two general real bounds, plus any known exact constant."""
     pat = as_pattern(pattern)
     polar = bound_real_polar(pat)
     hilbert = bound_real_hilbert(pat)
     winner = polar if polar.value <= hilbert.value else hilbert
-    exact = None
-    note = f"from {winner.name}"
-    registry = SHARP_PATTERN_REGISTRY.get((REAL, tuple(sorted(pat.multiplicities))))
-    if registry is not None:
-        exact, cite = registry
-        note += f"; exact constant {exact} ({cite})"
+    exact, note = _registry_exact(winner, pat, REAL)
     return replace(winner, name="real_best", exact=exact, note=note)
 
 
@@ -722,14 +720,9 @@ def bound_best(pattern, p: Optional[float], field: str) -> BoundRecord:
     for rec in records[1:]:
         if rec.value < winner.value:
             winner = rec
-    exact = None
-    note = f"from {winner.name}"
     pat = as_pattern(pattern)
-    registry = SHARP_PATTERN_REGISTRY.get((field, tuple(sorted(pat.multiplicities))))
-    if registry is not None:
-        exact, cite = registry
-        note += f"; exact constant {exact} ({cite})"
-    elif field == COMPLEX and p is not None:
+    exact, note = _registry_exact(winner, pat, field)
+    if exact is None and field == COMPLEX and p is not None:
         lp = bound_complex_lp(pat, p)
         if lp.applicable and lp.sharp:
             exact = lp.value

@@ -111,15 +111,18 @@ class SpaceSpec:
     @property
     def conjugate(self) -> float:
         """Conjugate exponent p' with 1/p + 1/p' = 1 (extended values)."""
-        if self.p == 1.0:
-            return math.inf
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
 def conjugate_exponent(p: float) -> float:
-    return SpaceSpec(p, 1).conjugate
+    """Conjugate exponent p' with 1/p + 1/p' = 1 (extended values)."""
+    if not p >= 1.0:
+        raise FormError(f"p must satisfy p >= 1, got {p}")
+    if p == 1.0:
+        return math.inf
+    if math.isinf(p):
+        return 1.0
+    return p / (p - 1.0)
 
 
 class SymmetricForm:
@@ -150,6 +153,8 @@ class SymmetricForm:
                     f"multi-index {alpha.exponents} has degree {alpha.degree}, expected {degree}"
                 )
             value = complex(value)
+            if not np.isfinite(value):
+                raise FormError(f"non-finite coefficient {value} at {alpha.exponents}")
             if field == REAL and value.imag != 0.0:
                 raise FormError(f"complex coefficient {value} in a real form")
             clean[alpha] = value
@@ -355,6 +360,30 @@ def polarize(form: SymmetricForm, vectors: Sequence, cap: int = POLARIZE_DEGREE_
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 
+def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
+                  modulus: bool = False) -> np.ndarray:
+    """Unchecked core of eval_mixed: L(x_1^{k_1} ... x_n^{k_n}) for each
+    argument tuple, tuples (T, n, d) -> (T,).
+
+    With modulus, |L| is taken before the polarization scale is applied;
+    for complex values that order is not interchangeable bit for bit.
+    """
+    mult, weights = _block_table(multiplicities)
+    points = np.einsum("cn,tnd->tcd", mult, tuples).reshape(-1, form.dim)
+    sums = form.eval_batch(points).reshape(tuples.shape[0], -1) @ weights
+    return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
+
+
+def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], xs: np.ndarray):
+    """Unchecked core of eval_mixed_grad at one argument tuple xs (n, d)."""
+    mult, weights = _block_table(multiplicities)
+    vals, grads = form.eval_grad_batch(mult @ xs)
+    scale = _polar_scale(sum(multiplicities))
+    value = (weights @ vals) * scale
+    block_grads = (weights[:, None] * mult).T @ grads * scale
+    return value, block_grads
+
+
 def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLARIZE_DEGREE_CAP):
     """L(x_1^{k_1} ... x_n^{k_n}) by block sign enumeration."""
     pat = as_pattern(pattern)
@@ -365,9 +394,7 @@ def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLAR
     if pat.m > cap:
         raise FormError(f"degree {pat.m} exceeds polarization cap {cap}")
     xs = np.stack([_as_vector(form, x) for x in vectors])
-    mult, weights = _block_table(pat.multiplicities)
-    vals = form.eval_batch(mult @ xs)
-    out = (weights @ vals) * _polar_scale(pat.m)
+    out = _mixed_values(form, pat.multiplicities, xs[None])[0]
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 
@@ -383,12 +410,7 @@ def eval_mixed_grad(form: SymmetricForm, pattern, vectors: Sequence):
     if len(vectors) != pat.n:
         raise FormError(f"pattern has {pat.n} blocks, got {len(vectors)} vectors")
     xs = np.stack([_as_vector(form, x) for x in vectors])
-    mult, weights = _block_table(pat.multiplicities)
-    vals, grads = form.eval_grad_batch(mult @ xs)
-    scale = _polar_scale(pat.m)
-    value = (weights @ vals) * scale
-    block_grads = (weights[:, None] * mult).T @ grads * scale
-    return value, block_grads
+    return _mixed_value_grad(form, pat.multiplicities, xs)
 
 
 def _multiset_index_tuples(alpha):
@@ -532,10 +554,13 @@ def form_from_dict(doc: dict) -> SymmetricForm:
         raw = doc["coeffs"]
     except (KeyError, TypeError) as exc:
         raise FormError(f"malformed form document: missing {exc}") from exc
-    entries = []
-    for item in raw:
-        value = complex(item["re"], item.get("im", 0.0))
-        entries.append((tuple(item["alpha"]), value))
+    try:
+        entries = [
+            (tuple(int(e) for e in item["alpha"]), complex(item["re"], item.get("im", 0.0)))
+            for item in raw
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormError(f"malformed coefficient entry: {exc!r}") from exc
     return make_form(degree, dim, field, entries)
 
 

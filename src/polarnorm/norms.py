@@ -5,12 +5,18 @@ a deterministic family of starts (structured candidates plus seeded random
 restarts), together with the witness vectors that attain it.  Values are
 always lower bounds on the true suprema.
 
-The ell_p sphere is non-smooth at p = 1 and p = infinity, so the ascent
-move is specialized per regime: plain gradient steps with exact radial
-normalization for 1 < p < infinity, soft-threshold projection for p = 1,
-and exact per-coordinate maximization (real) or modulus clipping (complex)
-for p = infinity.  Linear slots are always updated in closed form through
-dual-norm alignment.
+All three estimators run one engine, block ascent over the argument tuple
+(x_1, ..., x_n) of a pattern (k_1, ..., k_n): poly_norm is the pattern
+(m,), multilinear_norm the pattern (1, ..., 1), and mixed_norm any other.
+Each sweep moves every block in turn, holding the others fixed:
+
+- a linear block (k_j = 1) jumps to the exact maximizer of the linear
+  functional it sees, by dual-norm alignment;
+- a higher block on the real sup-norm ball takes exact coordinate moves,
+  each maximizing a univariate polynomial over [-1, 1];
+- any other block takes a projected gradient step with backtracking:
+  radial normalization for 1 < p < infinity, soft-threshold projection
+  for p = 1, modulus clipping for complex p = infinity.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +36,10 @@ from .forms import (
     Pattern,
     SpaceSpec,
     SymmetricForm,
-    _block_table,
-    _polar_scale,
+    _mixed_value_grad,
+    _mixed_values,
     as_pattern,
+    conjugate_exponent,
 )
 from . import bounds as bounds_mod
 
@@ -184,17 +191,12 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
         return out
     if math.isinf(p):
         return phases.astype(phi.dtype)
-    pprime = p / (p - 1.0)
-    weights = moduli ** (pprime - 1.0)
+    weights = moduli ** (conjugate_exponent(p) - 1.0)
     return radial_normalize(phases * weights, p)
 
 
 # ---------------------------------------------------------------------------
 # deterministic structured starts
-
-
-def _axis_vectors(dim: int, dtype) -> list[np.ndarray]:
-    return [np.eye(dim, dtype=dtype)[i] for i in range(dim)]
 
 
 def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
@@ -247,276 +249,45 @@ def _run_starts(starts, worker, parallel: bool):
 
 
 # ---------------------------------------------------------------------------
-# diagonal (polynomial) ascent
+# block values, gradients and coordinate polynomials
+#
+# A single block is P itself, so every helper evaluates it directly rather
+# than through the block sign table.
 
 
-def _check_space(form: SymmetricForm, space: SpaceSpec) -> None:
-    if space.dim != form.dim:
-        raise NormError(f"space dim {space.dim} != form dim {form.dim}")
-    if space.field != form.field:
-        raise NormError(f"space field {space.field!r} != form field {form.field!r}")
-
-
-def _poly_value(form: SymmetricForm, x: np.ndarray) -> float:
-    return float(abs(form.eval_batch(x[None, :])[0]))
-
-
-def _ascent_direction(value, grad):
-    if np.iscomplexobj(grad):
-        # at a zero of P the modulus still grows linearly along conj(grad)
-        dirn = np.conj(grad) * value if value != 0 else np.conj(grad)
-    else:
-        dirn = grad if value >= 0 else -grad
-    norm = float(np.linalg.norm(dirn))
-    return (dirn / norm, norm) if norm > 0 else (dirn, 0.0)
-
-
-def _gradient_ascent(form: SymmetricForm, p: float, x0: np.ndarray, cfg: OptimizerConfig):
-    x = _sphere_move(x0.copy(), p)
-    val = _poly_value(form, x)
-    step = cfg.init_step
-    converged = False
-    for _ in range(cfg.max_iter):
-        raw_vals, raw_grads = form.eval_grad_batch(x[None, :])
-        dirn, gnorm = _ascent_direction(raw_vals[0], raw_grads[0])
-        if gnorm == 0.0:
-            converged = True
-            break
-        accepted = False
-        while step >= _MIN_STEP:
-            cand = _sphere_move(x + step * dirn, p)
-            cval = _poly_value(form, cand)
-            if cval > val:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        improvement = cval - val
-        x, val = cand, cval
-        step = min(step * 1.3, _MAX_STEP)
-        if improvement <= cfg.tol * val:
-            converged = True
-            break
-    return val, x, converged
-
-
-def _univariate_coeffs(form: SymmetricForm, x: np.ndarray, i: int) -> np.ndarray:
-    """Ascending coefficients of t -> P(x with x_i = t), real forms only."""
-    probe = x.copy()
-    probe[i] = 1.0
-    monomials = np.prod(probe[None, None, :] ** form._exponents[None, :, :], axis=2)[0]
-    contrib = monomials * form._values
-    return np.bincount(form._exponents[:, i], weights=contrib, minlength=form.degree + 1)
-
-
-def _max_abs_univariate(coeffs: np.ndarray):
-    """(t*, |q(t*)|) over [-1, 1] via stationary points of q plus endpoints."""
-    candidates = [-1.0, 1.0]
-    if len(coeffs) > 1:
-        deriv = npoly.polyder(coeffs)
-        if np.any(deriv != 0):
-            roots = npoly.polyroots(deriv)
-            for r in np.atleast_1d(roots):
-                if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and -1.0 <= r.real <= 1.0:
-                    candidates.append(float(r.real))
-    candidates = sorted(set(candidates))
-    values = np.abs(npoly.polyval(np.array(candidates), coeffs))
-    idx = int(np.argmax(values))
-    return candidates[idx], float(values[idx])
-
-
-def _coordinate_ascent_linf(form: SymmetricForm, x0: np.ndarray, cfg: OptimizerConfig):
-    """Exact coordinate maximization over the sup-norm ball (real forms)."""
-    x = _clip_linf(x0.copy())
-    val = _poly_value(form, x)
-    converged = False
-    for _ in range(cfg.max_iter):
-        before = val
-        for i in range(form.dim):
-            t_star, v_star = _max_abs_univariate(_univariate_coeffs(form, x, i))
-            if v_star > val:
-                x[i] = t_star
-                val = v_star
-        mx = float(np.abs(x).max())
-        if 0.0 < mx < 1.0:
-            x = x / mx
-            val = _poly_value(form, x)
-        if val - before <= cfg.tol * max(val, 1e-300):
-            converged = True
-            break
-    return val, x, converged
-
-
-def _poly_starts(form: SymmetricForm, space: SpaceSpec, cfg: OptimizerConfig, extra_starts):
-    d, p = form.dim, space.p
-    dtype = np.complex128 if form.field == COMPLEX else np.float64
-    starts: list[np.ndarray] = []
-    if cfg.structured_starts:
-        starts.extend(_axis_vectors(d, dtype))
-        starts.append(radial_normalize(np.ones(d, dtype=dtype), p))
-        if p == 1.0 or math.isinf(p):
-            cands = _ternary_candidates(d, p, form.field)
-            if len(cands):
-                vals = np.abs(form.eval_batch(cands))
-                order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
-                starts.extend(cands[i] for i in order)
-    for x in extra_starts:
-        starts.append(np.asarray(x, dtype=dtype))
-    for i in range(cfg.restarts):
-        starts.append(_random_unit(_restart_rng(cfg.seed, i), d, p, form.field))
-    return starts
-
-
-def poly_norm(
-    form: SymmetricForm,
-    space: SpaceSpec,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-    extra_starts: Sequence = (),
-) -> NormEstimate:
-    """Estimate sup of |P(x)| over the unit ball of the space.
-
-    Multi-start projected gradient ascent (exact coordinate ascent on the
-    real sup-norm ball); the result never exceeds the true norm and is
-    deterministic for a fixed seed.
-    """
-    _check_space(form, space)
-    p = space.p
-
-    def worker(x0):
-        if form.field == REAL and math.isinf(p):
-            return _coordinate_ascent_linf(form, x0, config)
-        return _gradient_ascent(form, p, x0, config)
-
-    starts = _poly_starts(form, space, config, extra_starts)
-    (val, x, _), converged = _run_starts(starts, worker, config.parallel)
-    if lp_norm(x, p) > 0:
-        x = radial_normalize(x, p)
-    value = _poly_value(form, x)
-    return NormEstimate(value, [x], "ascent", converged)
-
-
-# ---------------------------------------------------------------------------
-# batched mixed evaluation over argument tuples
-
-
-def _mixed_value_batch(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray:
+def _values(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray:
     """|L(x_1^{k_1} ... x_n^{k_n})| for each argument tuple; tuples (T, n, d)."""
-    mult, weights = _block_table(pat.multiplicities)
-    t_count = tuples.shape[0]
-    points = np.einsum("cn,tnd->tcd", mult, tuples).reshape(-1, form.dim)
-    vals = form.eval_batch(points).reshape(t_count, -1)
-    return np.abs(vals @ weights) * _polar_scale(pat.m)
+    if pat.n == 1:
+        return np.abs(form.eval_batch(tuples[:, 0, :]))
+    return _mixed_values(form, pat.multiplicities, tuples, modulus=True)
 
 
-def _mixed_value(form: SymmetricForm, pat: Pattern, xs: np.ndarray) -> float:
-    return float(_mixed_value_batch(form, pat, xs[None, :, :])[0])
+def _value(form: SymmetricForm, pat: Pattern, xs: np.ndarray) -> float:
+    # numpy's scalar and array complex moduli can differ in the last bit; a
+    # single block keeps the scalar one its values have always used
+    if pat.n == 1:
+        return float(abs(form.eval_batch(xs)[0]))
+    return float(_mixed_values(form, pat.multiplicities, xs[None], modulus=True)[0])
 
 
-def _mixed_grads(form: SymmetricForm, pat: Pattern, xs: np.ndarray):
-    mult, weights = _block_table(pat.multiplicities)
-    vals, grads = form.eval_grad_batch(mult @ xs)
-    scale = _polar_scale(pat.m)
-    value = (weights @ vals) * scale
-    block_grads = (weights[:, None] * mult).T @ grads * scale
-    return value, block_grads
+def _value_grads(form: SymmetricForm, pat: Pattern, xs: np.ndarray):
+    """Signed value and the (n, d) block gradients at one argument tuple."""
+    if pat.n == 1:
+        vals, grads = form.eval_grad_batch(xs)
+        return vals[0], grads
+    return _mixed_value_grad(form, pat.multiplicities, xs)
 
 
-# ---------------------------------------------------------------------------
-# alternating maximization for multilinear norms
-
-
-def _tuple_starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
-    d, p, n = form.dim, space.p, pat.n
-    dtype = np.complex128 if form.field == COMPLEX else np.float64
-    starts: list[np.ndarray] = []
-    if cfg.structured_starts:
-        if diag_witness is not None:
-            starts.append(np.broadcast_to(diag_witness.astype(dtype), (n, d)).copy())
-        for axis in _axis_vectors(d, dtype):
-            starts.append(np.broadcast_to(axis, (n, d)).copy())
-        starts.append(
-            np.broadcast_to(radial_normalize(np.ones(d, dtype=dtype), p), (n, d)).copy()
-        )
-        if p == 1.0 or math.isinf(p):
-            cands = _ternary_candidates(d, p, form.field)
-            if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
-                combos = np.array(list(itertools.product(range(len(cands)), repeat=n)))
-                tuples = cands[combos]
-                vals = _mixed_value_batch(form, pat, tuples)
-                order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
-                starts.extend(tuples[i] for i in order)
-    for xs in extra_starts:
-        starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
-    for i in range(cfg.restarts):
-        rng = _restart_rng(cfg.seed, i)
-        starts.append(np.stack([_random_unit(rng, d, p, form.field) for _ in range(n)]))
-    return starts
-
-
-def _alternating(form: SymmetricForm, space: SpaceSpec, xs0: np.ndarray, cfg: OptimizerConfig):
-    """Cyclic exact linear-slot updates; monotone by construction."""
-    m, d, p = form.degree, form.dim, space.p
-    pat = as_pattern(tuple([1] * m))
-    xs = xs0.copy()
-    val = _mixed_value(form, pat, xs)
-    converged = False
-    for _ in range(cfg.max_iter):
-        for j in range(m):
-            _, grads = _mixed_grads(form, pat, xs)
-            xs[j] = dual_align(grads[j], p, d)
-        new_val = _mixed_value(form, pat, xs)
-        if new_val - val <= cfg.tol * max(new_val, 1e-300):
-            val = max(val, new_val)
-            converged = True
-            break
-        val = new_val
-    return val, xs, converged
-
-
-def multilinear_norm(
-    form: SymmetricForm,
-    space: SpaceSpec,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-    extra_starts: Sequence = (),
-) -> NormEstimate:
-    """Estimate the full multilinear norm sup |L(x_1, ..., x_m)|.
-
-    Alternating maximization: with all slots but one fixed the objective is
-    linear, so each slot update is the exact dual-alignment maximizer.  The
-    diagonal witness of poly_norm seeds one start, which keeps the estimate
-    at or above the polynomial norm.
-    """
-    _check_space(form, space)
-    if form.degree > 20:
-        raise NormError(f"degree {form.degree} exceeds the polarization cap")
-    pat = as_pattern(tuple([1] * form.degree))
-    diag = poly_norm(form, space, config).witnesses[0]
-
-    def worker(xs0):
-        return _alternating(form, space, xs0, config)
-
-    starts = _tuple_starts(form, space, pat, config, extra_starts, diag)
-    (val, xs, _), converged = _run_starts(starts, worker, config.parallel)
-    xs = np.stack([radial_normalize(x, space.p) if lp_norm(x, space.p) > 0 else x for x in xs])
-    value = _mixed_value(form, pat, xs)
-    return NormEstimate(value, list(xs), "alternating", converged)
-
-
-# ---------------------------------------------------------------------------
-# block ascent for general patterns
-
-
-def _mixed_signed(form: SymmetricForm, pat: Pattern, xs: np.ndarray):
-    mult, weights = _block_table(pat.multiplicities)
-    vals = form.eval_batch(mult @ xs)
-    return (weights @ vals) * _polar_scale(pat.m)
-
-
-def _block_univariate_coeffs(form, pat: Pattern, xs, j: int, i: int) -> np.ndarray:
-    """Coefficients of t -> L(... (x_j with coord i = t)^{k_j} ...), exactly,
-    by multilinear expansion in the basis direction (real forms)."""
+def _coordinate_coeffs(form: SymmetricForm, pat: Pattern, xs: np.ndarray, j: int, i: int):
+    """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...),
+    exactly, for real forms."""
+    if pat.n == 1:
+        probe = xs[0].copy()
+        probe[i] = 1.0
+        monomials = np.prod(probe[None, None, :] ** form._exponents[None, :, :], axis=2)[0]
+        contrib = monomials * form._values
+        return np.bincount(form._exponents[:, i], weights=contrib, minlength=form.degree + 1)
+    # multilinear expansion of block j in the basis direction e_i
     k_j = pat.multiplicities[j]
     base = xs[j].copy()
     base[i] = 0.0
@@ -536,15 +307,77 @@ def _block_univariate_coeffs(form, pat: Pattern, xs, j: int, i: int) -> np.ndarr
             else:
                 blocks.append(k_l)
                 args.append(xs[l])
-        value = _mixed_signed(form, as_pattern(tuple(blocks)), np.stack(args))
+        value = _mixed_values(form, tuple(blocks), np.stack(args)[None])[0]
         coeffs[s] = math.comb(k_j, s) * float(np.real(value))
     return coeffs
 
 
-def _block_ascent(form, space, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig):
-    d, p = form.dim, space.p
+def _max_abs_univariate(coeffs: np.ndarray):
+    """(t*, |q(t*)|) over [-1, 1] via stationary points of q plus endpoints."""
+    candidates = [-1.0, 1.0]
+    if len(coeffs) > 1:
+        deriv = npoly.polyder(coeffs)
+        if np.any(deriv != 0):
+            roots = npoly.polyroots(deriv)
+            for r in np.atleast_1d(roots):
+                if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and -1.0 <= r.real <= 1.0:
+                    candidates.append(float(r.real))
+    candidates = sorted(set(candidates))
+    values = np.abs(npoly.polyval(np.array(candidates), coeffs))
+    idx = int(np.argmax(values))
+    return candidates[idx], float(values[idx])
+
+
+def _ascent_direction(value, grad):
+    if np.iscomplexobj(grad):
+        # at a zero of P the modulus still grows linearly along conj(grad)
+        dirn = np.conj(grad) * value if value != 0 else np.conj(grad)
+    else:
+        dirn = grad if value >= 0 else -grad
+    norm = float(np.linalg.norm(dirn))
+    return (dirn / norm, norm) if norm > 0 else (dirn, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the ascent engine
+
+
+def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
+    """Argument tuples (n, d) to ascend from: the diagonal witness, axes, the
+    normalized ones vector, the best ternary tuples at p in {1, inf}, the
+    caller's extra starts, then one seeded random tuple per restart."""
+    d, p, n = form.dim, space.p, pat.n
+    dtype = np.complex128 if form.field == COMPLEX else np.float64
+    starts: list[np.ndarray] = []
+    if cfg.structured_starts:
+        if diag_witness is not None:
+            starts.append(np.broadcast_to(diag_witness.astype(dtype), (n, d)).copy())
+        for axis in np.eye(d, dtype=dtype):
+            starts.append(np.broadcast_to(axis, (n, d)).copy())
+        starts.append(
+            np.broadcast_to(radial_normalize(np.ones(d, dtype=dtype), p), (n, d)).copy()
+        )
+        if p == 1.0 or math.isinf(p):
+            cands = _ternary_candidates(d, p, form.field)
+            if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
+                combos = np.array(list(itertools.product(range(len(cands)), repeat=n)))
+                tuples = cands[combos]
+                vals = _values(form, pat, tuples)
+                order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
+                starts.extend(tuples[i] for i in order)
+    for xs in extra_starts:
+        starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
+    for i in range(cfg.restarts):
+        rng = _restart_rng(cfg.seed, i)
+        starts.append(np.stack([_random_unit(rng, d, p, form.field) for _ in range(n)]))
+    return starts
+
+
+def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig):
+    """Cyclic block moves from one start: (value, xs, converged)."""
+    d = form.dim
     xs = np.stack([_sphere_move(x, p) for x in xs0])
-    val = _mixed_value(form, pat, xs)
+    val = _value(form, pat, xs)
     steps = [cfg.init_step] * pat.n
     real_sup = form.field == REAL and math.isinf(p)
     converged = False
@@ -552,23 +385,25 @@ def _block_ascent(form, space, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConf
         before = val
         for j, k_j in enumerate(pat.multiplicities):
             if k_j == 1:
-                _, grads = _mixed_grads(form, pat, xs)
+                _, grads = _value_grads(form, pat, xs)
                 xs[j] = dual_align(grads[j], p, d)
-                val = _mixed_value(form, pat, xs)
-            elif real_sup:
+                # evaluated only once a later move or the sweep's end needs it
+                val = None
+                continue
+            if val is None:
+                val = _value(form, pat, xs)
+            if real_sup:
                 for i in range(d):
-                    t_star, v_star = _max_abs_univariate(
-                        _block_univariate_coeffs(form, pat, xs, j, i)
-                    )
+                    t_star, v_star = _max_abs_univariate(_coordinate_coeffs(form, pat, xs, j, i))
                     if v_star > val:
                         xs[j, i] = t_star
                         val = v_star
                 mx = float(np.abs(xs[j]).max())
                 if 0.0 < mx < 1.0:
                     xs[j] = xs[j] / mx
-                    val = _mixed_value(form, pat, xs)
+                    val = _value(form, pat, xs)
             else:
-                raw_val, grads = _mixed_grads(form, pat, xs)
+                raw_val, grads = _value_grads(form, pat, xs)
                 dirn, gnorm = _ascent_direction(raw_val, grads[j])
                 if gnorm == 0.0:
                     continue
@@ -577,7 +412,7 @@ def _block_ascent(form, space, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConf
                 while step >= _MIN_STEP:
                     cand = xs.copy()
                     cand[j] = _sphere_move(xs[j] + step * dirn, p)
-                    cval = _mixed_value(form, pat, cand)
+                    cval = _value(form, pat, cand)
                     if cval > val:
                         xs, val = cand, cval
                         accepted = True
@@ -586,10 +421,72 @@ def _block_ascent(form, space, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConf
                 # a stalled block may become movable again once the others
                 # shift, so failure resets the step instead of pinning it
                 steps[j] = min(step * 1.3, _MAX_STEP) if accepted else cfg.init_step
+        if val is None:
+            val = _value(form, pat, xs)
         if val - before <= cfg.tol * max(val, 1e-300):
             converged = True
             break
     return val, xs, converged
+
+
+def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness,
+              method: str) -> NormEstimate:
+    """Best block ascent over all starts, renormalized onto the unit sphere."""
+    p = space.p
+    starts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+    (_, xs, _), converged = _run_starts(
+        starts, lambda xs0: _block_ascent(form, p, pat, xs0, cfg), cfg.parallel
+    )
+    xs = np.stack([radial_normalize(x, p) if lp_norm(x, p) > 0 else x for x in xs])
+    return NormEstimate(_value(form, pat, xs), list(xs), method, converged)
+
+
+# ---------------------------------------------------------------------------
+# the three public estimators: patterns (m,), (1, ..., 1) and any other
+
+
+def _check_space(form: SymmetricForm, space: SpaceSpec) -> None:
+    if space.dim != form.dim:
+        raise NormError(f"space dim {space.dim} != form dim {form.dim}")
+    if space.field != form.field:
+        raise NormError(f"space field {space.field!r} != form field {form.field!r}")
+
+
+def poly_norm(
+    form: SymmetricForm,
+    space: SpaceSpec,
+    config: OptimizerConfig = DEFAULT_CONFIG,
+    extra_starts: Sequence = (),
+) -> NormEstimate:
+    """Estimate sup of |P(x)| over the unit ball of the space.
+
+    The single-block pattern (m,) of the block ascent; the result never
+    exceeds the true norm and is deterministic for a fixed seed.
+    """
+    _check_space(form, space)
+    pat = as_pattern(form.degree)
+    return _estimate(form, space, pat, config, [[x] for x in extra_starts], None, "ascent")
+
+
+def multilinear_norm(
+    form: SymmetricForm,
+    space: SpaceSpec,
+    config: OptimizerConfig = DEFAULT_CONFIG,
+    extra_starts: Sequence = (),
+) -> NormEstimate:
+    """Estimate the full multilinear norm sup |L(x_1, ..., x_m)|.
+
+    The all-ones pattern of the block ascent, i.e. alternating maximization:
+    with all slots but one fixed the objective is linear, so each slot update
+    is the exact dual-alignment maximizer.  The diagonal witness of poly_norm
+    seeds one start, which keeps the estimate at or above the polynomial norm.
+    """
+    _check_space(form, space)
+    if form.degree > 20:
+        raise NormError(f"degree {form.degree} exceeds the polarization cap")
+    pat = as_pattern(tuple([1] * form.degree))
+    diag = poly_norm(form, space, config).witnesses[0]
+    return _estimate(form, space, pat, config, extra_starts, diag, "alternating")
 
 
 def mixed_norm(
@@ -601,31 +498,17 @@ def mixed_norm(
 ) -> NormEstimate:
     """Estimate sup |L(x_1^{k_1} ... x_n^{k_n})| over unit vectors.
 
-    Block-wise ascent: linear blocks update in closed form, higher blocks
-    by projected gradient (or exact coordinate moves on the real sup-norm
-    ball).  Single-block patterns reduce to poly_norm and all-ones patterns
-    to multilinear_norm.
+    Block ascent seeded with the diagonal witness of poly_norm; all-ones
+    patterns go through multilinear_norm.
     """
     _check_space(form, space)
     pat = as_pattern(pattern)
     if pat.m != form.degree:
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
-    if pat.n == 1:
-        est = poly_norm(form, space, config, extra_starts=[xs[0] for xs in extra_starts])
-        return NormEstimate(est.value, est.witnesses, "ascent", est.starts_converged)
-    if set(pat.multiplicities) == {1}:
-        est = multilinear_norm(form, space, config, extra_starts)
-        return NormEstimate(est.value, est.witnesses, "ascent", est.starts_converged)
-    diag = poly_norm(form, space, config).witnesses[0]
-
-    def worker(xs0):
-        return _block_ascent(form, space, pat, xs0, config)
-
-    starts = _tuple_starts(form, space, pat, config, extra_starts, diag)
-    (val, xs, _), converged = _run_starts(starts, worker, config.parallel)
-    xs = np.stack([radial_normalize(x, space.p) if lp_norm(x, space.p) > 0 else x for x in xs])
-    value = _mixed_value(form, pat, xs)
-    return NormEstimate(value, list(xs), "ascent", converged)
+    if pat.n > 1 and set(pat.multiplicities) == {1}:
+        return replace(multilinear_norm(form, space, config, extra_starts), method="ascent")
+    diag = poly_norm(form, space, config).witnesses[0] if pat.n > 1 else None
+    return _estimate(form, space, pat, config, extra_starts, diag, "ascent")
 
 
 # ---------------------------------------------------------------------------
@@ -696,18 +579,14 @@ def grid_oracle(
         cands = _extreme_candidates(space, resolution)
     else:
         cands = _dense_sphere_grid(space, resolution)
-    if pattern is None:
-        vals = np.abs(form.eval_batch(cands))
-        idx = int(np.argmax(vals))
-        return NormEstimate(float(vals[idx]), [cands[idx]], "grid", len(cands))
-    pat = as_pattern(pattern)
+    pat = as_pattern(form.degree if pattern is None else pattern)
     if pat.m != form.degree:
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
     if len(cands) ** pat.n > 2_000_000:
         raise NormError("candidate grid too large for this pattern")
     combos = np.array(list(itertools.product(range(len(cands)), repeat=pat.n)))
     tuples = cands[combos]
-    vals = _mixed_value_batch(form, pat, tuples)
+    vals = _values(form, pat, tuples)
     idx = int(np.argmax(vals))
     return NormEstimate(float(vals[idx]), list(tuples[idx]), "grid", len(tuples))
 

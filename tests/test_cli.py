@@ -129,6 +129,22 @@ def test_estimate_form_file_hilbert_ratio(capsys, tmp_path):
     assert result["ratio"] == pytest.approx(1.0, abs=2e-2)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"alpha": [1, 1]}, {"alpha": [1, 1], "re": float("nan")}],
+    ids=["missing-re", "nan"],
+)
+def test_estimate_malformed_coefficient_exit_2(capsys, tmp_path, entry):
+    doc = {"degree": 2, "dim": 2, "field": "real", "coeffs": [entry]}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "estimate", "--form", str(tmp_path / "bad.json"), "--pattern", "1,1",
+        "--p", "2", "--restarts", "4",
+    )
+    assert code == 2
+    assert out == "" and "coefficient" in err
+
+
 def test_estimate_requires_source(capsys):
     code, _, err = run_cli(capsys, "estimate", "--pattern", "2,1")
     assert code == 2

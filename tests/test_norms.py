@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarnorm.forms import COMPLEX, REAL, SpaceSpec, make_form, random_form, zero_form
+from polarnorm.forms import (
+    COMPLEX,
+    REAL,
+    SpaceSpec,
+    conjugate_exponent,
+    make_form,
+    random_form,
+    zero_form,
+)
 from polarnorm.norms import (
     NormError,
     OptimizerConfig,
@@ -127,6 +135,20 @@ def test_poly_norm_zero_form():
     est = poly_norm(zero_form(2, 2), SpaceSpec(2.0, 2), CFG)
     assert est.value == 0.0
     assert abs(lp_norm(est.witnesses[0], 2.0) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_poly_norm_linear_form_is_dual_norm(p, field):
+    # the norm of x -> <a, x> on ell_p is ||a||_{p'}
+    rng = np.random.default_rng(23)
+    d = 4
+    a = rng.standard_normal(d)
+    if field == COMPLEX:
+        a = a + 1j * rng.standard_normal(d)
+    f = make_form(1, d, field, [(tuple(np.eye(d, dtype=int)[i]), a[i]) for i in range(d)])
+    est = poly_norm(f, SpaceSpec(p, d, field), CFG)
+    assert est.value == pytest.approx(lp_norm(a, conjugate_exponent(p)), rel=1e-12)
 
 
 def test_poly_norm_complex_product():
