@@ -72,8 +72,16 @@ class BoundRecord:
 
 def _record(name, log_value, value=None, **kw) -> BoundRecord:
     if value is None:
-        value = math.exp(log_value) if log_value < 709.0 else math.inf
+        value = _or_inf(lambda: math.exp(log_value))
     return BoundRecord(name=name, value=float(value), log_value=float(log_value), **kw)
+
+
+def _or_inf(compute: Callable[[], float]) -> float:
+    """compute(), or inf when it overflows the float range."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
 
 
 def _lgamma1(n: float) -> float:
@@ -100,9 +108,8 @@ def _pattern_logs(pat: Pattern):
 
 
 def _exact_ratio(num: int, den: int):
-    """(value, log) of an exact integer ratio."""
-    frac = Fraction(num, den)
-    return float(frac), math.log(num) - math.log(den)
+    """(value, log) of an exact integer ratio; the value is inf beyond floats."""
+    return _or_inf(lambda: float(Fraction(num, den))), math.log(num) - math.log(den)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +268,9 @@ def bound_complex_lp(pattern, p: float) -> BoundRecord:
     base_log, fact_log = _pattern_logs(pat)
 
     def _value_at_exponent(exponent: float):
-        if exponent == 1.0 and m <= EXACT_DEGREE_LIMIT:
-            num = m**m * math.prod(math.factorial(k) for k in pat)
-            den = math.prod(k**k for k in pat) * math.factorial(m)
-            return _exact_ratio(num, den)
+        if exponent == 1.0:
+            cx = bound_complex_any(pat)
+            return cx.value, cx.log_value
         return None, exponent * base_log + fact_log
 
     if p <= mprime:
@@ -407,7 +413,7 @@ def bound_real_complexification(pattern) -> BoundRecord:
     pat = as_pattern(pattern)
     cx = bound_complex_any(pat)
     log_value = (pat.m - 1) * math.log(2.0) + cx.log_value
-    value = 2.0 ** (pat.m - 1) * cx.value if math.isfinite(cx.value) else None
+    value = _or_inf(lambda: 2.0 ** (pat.m - 1) * cx.value) if math.isfinite(cx.value) else None
     return _record(
         "real_complexification",
         log_value,
@@ -428,7 +434,10 @@ def bound_real_polar(pattern) -> BoundRecord:
         num = n ** (m - 1) * sum(k ** (m - 1) for k in pat)
         value, log_value = _exact_ratio(num, math.factorial(m))
     else:
-        log_sum = math.log(sum(math.exp((m - 1) * (math.log(k) - math.log(m))) for k in pat))
+        # shifted log-sum-exp: the unshifted terms underflow to 0 at large m
+        terms = [(m - 1) * (math.log(k) - math.log(m)) for k in pat]
+        top = max(terms)
+        log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
         log_value = (m - 1) * math.log(n) - _lgamma1(m) + (m - 1) * math.log(m) + log_sum
     return _record(
         "real_polar",
@@ -535,28 +544,23 @@ def real_markov_range(m: int, k: int) -> MarkovRange:
     """Brackets for the smallest real Markov constants of degree-m polynomials.
 
     Lower ends are the complex sharp values; upper ends combine the
-    derivative identity with the square-root mixed bound.
+    derivative identity with the square-root mixed bound.  Values beyond
+    the float range are inf.
     """
-    if not 1 <= k <= m:
-        raise BoundError(f"need 1 <= k <= m, got k={k}, m={m}")
+    homog, full = markov_complex_any(k, m)
     mk = m - k
     if m <= EXACT_DEGREE_LIMIT:
         mk_pow = mk**mk if mk > 0 else 1  # 0^0 := 1
-        homog_lower = float(Fraction(m**m * math.factorial(k), mk_pow * k**k))
-        full_lower = float(Fraction(m**m, mk_pow))
         root = math.sqrt(m**m / (mk_pow * k**k))
         homog_upper = math.comb(m, k) * math.factorial(k) * root
         full_upper = math.comb(m, k) * math.sqrt(m**m * k**k / mk_pow)
     else:
-        homog_lower = math.exp(m * math.log(m) - _xlogx(mk) - _xlogx(k) + _lgamma1(k))
-        full_lower = math.exp(m * math.log(m) - _xlogx(mk))
-        root = math.exp(0.5 * (m * math.log(m) - _xlogx(mk) - _xlogx(k)))
-        homog_upper = math.comb(m, k) * math.factorial(k) * root
-        full_upper = math.comb(m, k) * math.exp(
-            0.5 * (m * math.log(m) + _xlogx(k) - _xlogx(mk))
-        )
+        log_root = 0.5 * (m * math.log(m) - _xlogx(mk) - _xlogx(k))
+        log_full = 0.5 * (m * math.log(m) + _xlogx(k) - _xlogx(mk))
+        homog_upper = _or_inf(lambda: math.comb(m, k) * math.factorial(k) * math.exp(log_root))
+        full_upper = _or_inf(lambda: math.comb(m, k) * math.exp(log_full))
     exact = EXACT_HOMOGENEOUS_MARKOV.get((m, k), (None, None))[0]
-    return MarkovRange(m, k, homog_lower, homog_upper, full_lower, full_upper, exact)
+    return MarkovRange(m, k, homog.value, homog_upper, full.value, full_upper, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,9 @@ def cmd_verify(args) -> int:
     p = _parse_p(args.p) if args.p else 2.0
     if args.samples < 0:
         raise UsageError("samples must be >= 0")
+    # at slack <= -1 every check fails and at inf every check passes, whatever the ratios
+    if not -1.0 < args.slack < math.inf:
+        raise UsageError(f"slack must be finite and > -1, got {args.slack}")
     config = _optimizer_config(args)
     space = SpaceSpec(p, args.d, field)
     rng = np.random.default_rng(args.seed)
@@ -406,8 +409,8 @@ def cmd_table(args) -> int:
     if sum(modes) != 1:
         raise UsageError("table needs exactly one of --chebyshev, --asymptotic, --markov")
     if args.chebyshev:
-        if not args.m:
-            raise UsageError("--chebyshev needs --m")
+        if args.m is None or args.m < 1:
+            raise UsageError("--chebyshev needs --m >= 1")
         rows = [
             {"k": k, "value": bounds_mod.chebyshev_markov(args.m, k).value}
             for k in range(1, args.m + 1)

@@ -177,13 +177,6 @@ def nonattaining_bilinear(n_coords: int) -> ExtremalInstance:
     )
 
 
-BUILTIN_EXTREMALS = {
-    "product": "product_extremal(pattern, p): block witnesses for the product form",
-    "real44": "real44_form(): the sup-norm R^4 instance with mixed value 3",
-    "nonattaining": "nonattaining_bilinear(N): truncated diagonal bilinear form",
-}
-
-
 @dataclass
 class InstanceReport:
     """Measured vs stored values for one extremal instance."""

@@ -5,6 +5,12 @@ diagonal polynomial P(x) = sum_alpha a_alpha x^alpha.  The symmetric tensor
 entry at index multiset beta is a_beta * beta!/m!, which makes the
 polynomial <-> form round trip unambiguous.  All evaluation routines are
 pure and operate on immutable form objects.
+
+Only this module knows how monomials are stored: each form compiles once
+into a table holding, per monomial, the flat indices i*(m+1) + e of its
+r <= min(m, d) nonzero exponents e, ascending in the coordinate i and padded
+with x_0^0.  Values, gradients (one exponent lowered) and coordinate
+polynomials multiply the gathered entries of one power table x_i^e, 0 <= e <= m.
 """
 
 from __future__ import annotations
@@ -171,67 +177,51 @@ class SymmetricForm:
 
     @cached_property
     def _exponents(self) -> np.ndarray:
-        if not self.coeffs:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array([k.exponents for k in self.coeffs], dtype=np.int64)
+        return np.array([k.exponents for k in self.coeffs], dtype=np.int64).reshape(-1, self.dim)
 
     @cached_property
     def _values(self) -> np.ndarray:
         dtype = np.float64 if self.field == REAL else np.complex128
-        if not self.coeffs:
-            return np.zeros(0, dtype=dtype)
         return np.array(list(self.coeffs.values()), dtype=dtype)
 
     @cached_property
-    def _grad_tables(self):
-        """Stacked lowered exponents for gradient evaluation.
-
-        Row r corresponds to one (monomial, active dim) pair: exponent row
-        with that dim decremented, weight a_alpha * alpha_i, and a 0/1
-        scatter matrix mapping rows back to dims.
-        """
-        rows, weights, dims = [], [], []
+    def _table(self):
+        """Monomial rows (C, r), plus gradient rows with one exponent e at
+        coordinate i lowered, their weights a_alpha * e and 0/1 scatter to i."""
         E = self._exponents
-        a = self._values
-        for c in range(E.shape[0]):
-            for i in range(self.dim):
-                if E[c, i] > 0:
-                    row = E[c].copy()
-                    row[i] -= 1
-                    rows.append(row)
-                    weights.append(a[c] * E[c, i])
-                    dims.append(i)
-        if not rows:
-            return (
-                np.zeros((0, self.dim), dtype=np.int64),
-                np.zeros(0, dtype=self._values.dtype),
-                np.zeros((0, self.dim)),
-            )
-        scatter = np.zeros((len(rows), self.dim))
-        scatter[np.arange(len(rows)), dims] = 1.0
-        return np.array(rows, dtype=np.int64), np.array(weights), scatter
+        r = min(self.degree, self.dim)
+        # a stable sort of the zero flags puts the support first, in coordinate order
+        coords = np.argsort(E == 0, axis=1, kind="stable")[:, :r]
+        exps = np.take_along_axis(E, coords, axis=1)
+        support = exps > 0
+        rows = np.where(support, coords * (self.degree + 1) + exps, 0)
+        grad_rows = (rows[:, None, :] - np.eye(r, dtype=np.int64))[support]
+        grad_weights = (self._values[:, None] * exps)[support]
+        scatter = np.zeros((len(grad_rows), self.dim))
+        scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
+        return rows, grad_rows, grad_weights, scatter
 
     # -- evaluation --------------------------------------------------------
 
+    def _products(self, points: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
+        """Per table of rows (K, r), the product over each row of the gathered
+        powers x_i^e of points (N, d), shape (N, K)."""
+        powers = (points[:, :, None] ** np.arange(self.degree + 1)).reshape(len(points), -1)
+        # take, unlike fancy indexing, is C-ordered, so a following matmul sums in one order
+        gathered = [np.take(powers, rows, axis=1) for rows in tables]
+        del powers  # freed before the products, which bounds the peak of large batches
+        return [np.multiply.reduce(g, axis=2) for g in gathered]
+
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """P at each row of points, shape (N, d) -> (N,)."""
-        points = np.atleast_2d(points)
-        if self._exponents.shape[0] == 0:
-            dtype = np.complex128 if np.iscomplexobj(points) or self.field == COMPLEX else np.float64
-            return np.zeros(points.shape[0], dtype=dtype)
-        monomials = np.prod(points[:, None, :] ** self._exponents[None, :, :], axis=2)
+        (monomials,) = self._products(np.atleast_2d(points), self._table[0])
         return monomials @ self._values
 
     def eval_grad_batch(self, points: np.ndarray):
         """(P(x), grad P(x)) per row; complex forms return holomorphic partials."""
-        points = np.atleast_2d(points)
-        vals = self.eval_batch(points)
-        GE, GW, GS = self._grad_tables
-        if GE.shape[0] == 0:
-            return vals, np.zeros((points.shape[0], self.dim), dtype=vals.dtype)
-        lowered = np.prod(points[:, None, :] ** GE[None, :, :], axis=2)
-        grads = (lowered * GW[None, :]) @ GS
-        return vals, grads
+        rows, grad_rows, grad_weights, scatter = self._table
+        monomials, lowered = self._products(np.atleast_2d(points), rows, grad_rows)
+        return monomials @ self._values, (lowered * grad_weights[None, :]) @ scatter
 
     def scaled(self, factor) -> "SymmetricForm":
         """New form with every coefficient multiplied by factor."""
@@ -382,6 +372,42 @@ def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], xs: 
     value = (weights @ vals) * scale
     block_grads = (weights[:, None] * mult).T @ grads * scale
     return value, block_grads
+
+
+def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], xs: np.ndarray,
+                       j: int, i: int) -> np.ndarray:
+    """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...),
+    exactly, for real forms; xs (n, d)."""
+    if len(multiplicities) == 1:
+        # a single block is P itself: read the powers of t off the monomial table
+        probe = xs[0].copy()
+        probe[i] = 1.0
+        (monomials,) = form._products(probe[None], form._table[0])
+        return np.bincount(form._exponents[:, i], weights=monomials[0] * form._values,
+                           minlength=form.degree + 1)
+    # multilinear expansion of block j in the basis direction e_i
+    k_j = multiplicities[j]
+    base = xs[j].copy()
+    base[i] = 0.0
+    e_i = np.zeros(form.dim)
+    e_i[i] = 1.0
+    coeffs = np.zeros(k_j + 1)
+    for s in range(k_j + 1):
+        blocks, args = [], []
+        for l, k_l in enumerate(multiplicities):
+            if l == j:
+                if k_j - s > 0:
+                    blocks.append(k_j - s)
+                    args.append(base)
+                if s > 0:
+                    blocks.append(s)
+                    args.append(e_i)
+            else:
+                blocks.append(k_l)
+                args.append(xs[l])
+        value = _mixed_values(form, tuple(blocks), np.stack(args)[None])[0]
+        coeffs[s] = math.comb(k_j, s) * float(np.real(value))
+    return coeffs
 
 
 def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLARIZE_DEGREE_CAP):

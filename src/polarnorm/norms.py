@@ -36,6 +36,7 @@ from .forms import (
     Pattern,
     SpaceSpec,
     SymmetricForm,
+    _coordinate_coeffs,
     _mixed_value_grad,
     _mixed_values,
     as_pattern,
@@ -249,7 +250,7 @@ def _run_starts(starts, worker, parallel: bool):
 
 
 # ---------------------------------------------------------------------------
-# block values, gradients and coordinate polynomials
+# block values and gradients
 #
 # A single block is P itself, so every helper evaluates it directly rather
 # than through the block sign table.
@@ -276,40 +277,6 @@ def _value_grads(form: SymmetricForm, pat: Pattern, xs: np.ndarray):
         vals, grads = form.eval_grad_batch(xs)
         return vals[0], grads
     return _mixed_value_grad(form, pat.multiplicities, xs)
-
-
-def _coordinate_coeffs(form: SymmetricForm, pat: Pattern, xs: np.ndarray, j: int, i: int):
-    """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...),
-    exactly, for real forms."""
-    if pat.n == 1:
-        probe = xs[0].copy()
-        probe[i] = 1.0
-        monomials = np.prod(probe[None, None, :] ** form._exponents[None, :, :], axis=2)[0]
-        contrib = monomials * form._values
-        return np.bincount(form._exponents[:, i], weights=contrib, minlength=form.degree + 1)
-    # multilinear expansion of block j in the basis direction e_i
-    k_j = pat.multiplicities[j]
-    base = xs[j].copy()
-    base[i] = 0.0
-    e_i = np.zeros(form.dim)
-    e_i[i] = 1.0
-    coeffs = np.zeros(k_j + 1)
-    for s in range(k_j + 1):
-        blocks, args = [], []
-        for l, k_l in enumerate(pat.multiplicities):
-            if l == j:
-                if k_j - s > 0:
-                    blocks.append(k_j - s)
-                    args.append(base)
-                if s > 0:
-                    blocks.append(s)
-                    args.append(e_i)
-            else:
-                blocks.append(k_l)
-                args.append(xs[l])
-        value = _mixed_values(form, tuple(blocks), np.stack(args)[None])[0]
-        coeffs[s] = math.comb(k_j, s) * float(np.real(value))
-    return coeffs
 
 
 def _max_abs_univariate(coeffs: np.ndarray):
@@ -394,7 +361,8 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
                 val = _value(form, pat, xs)
             if real_sup:
                 for i in range(d):
-                    t_star, v_star = _max_abs_univariate(_coordinate_coeffs(form, pat, xs, j, i))
+                    t_star, v_star = _max_abs_univariate(
+                        _coordinate_coeffs(form, pat.multiplicities, xs, j, i))
                     if v_star > val:
                         xs[j, i] = t_star
                         val = v_star

@@ -246,6 +246,64 @@ def test_table_needs_exactly_one_mode(capsys):
     assert code == 2
 
 
+def test_table_chebyshev_large_degree_overflows_to_inf(capsys):
+    code, out, err = run_cli(capsys, "table", "--chebyshev", "--m", "400", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["results"]
+    assert rows[0]["value"] == 400.0**2
+    assert rows[-1]["value"] == "inf"
+
+
+def test_table_markov_real_large_degree(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--markov", "--m", "400", "--k", "200", "--field", "real",
+        "--format", "json",
+    )
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["M_range"] == ["inf", "inf"] and row["K_range"] == ["inf", "inf"]
+
+
+def test_table_asymptotic_real_large_degree(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--asymptotic", "--n", "2", "--m-max", "2000", "--field", "real",
+        "--format", "json",
+    )
+    assert code == 0, err
+    rows = json.loads(out)["results"]
+    assert rows[-1]["m"] == 2000 and rows[-1]["bound"] == "inf"
+    # the log domain keeps the root finite: 2 (2^{m-1} times a constant of root 1)
+    assert rows[-1]["root"] == pytest.approx(2.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("k", [520, 600])
+def test_bounds_real_large_degree(capsys, k):
+    code, out, err = run_cli(capsys, "bounds", "--pattern", f"{k},{k}", "--field", "real",
+                             "--format", "json")
+    assert code == 0, err
+    records = {r["name"]: r for r in json.loads(out)["results"]}
+    assert records["real_complexification"]["value"] == "inf"
+    # real_polar is n^{m-1}/m! * sum k_i^{m-1}; its unshifted terms underflow at k = 600
+    m = 2 * k
+    exact_log = math.log(2 ** (m - 1) * 2 * k ** (m - 1)) - math.lgamma(m + 1)
+    assert records["real_polar"]["log_value"] == pytest.approx(exact_log, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--pattern", "2,1", "--slack", "nan"),
+        ("verify", "--pattern", "2,1", "--slack", "-1"),
+        ("verify", "--pattern", "2,1", "--slack", "inf"),
+        ("table", "--chebyshev", "--m", "-3"),
+    ],
+)
+def test_bad_numeric_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # extremal emission and format agreement
 

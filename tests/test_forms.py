@@ -12,6 +12,7 @@ from polarnorm.forms import (
     MultiIndex,
     Pattern,
     SpaceSpec,
+    _coordinate_coeffs,
     complexify_eval,
     complexify_form,
     eval_mixed,
@@ -267,6 +268,82 @@ def test_eval_mixed_grad_matches_finite_difference():
             dn[j][i] -= h
             fd = (eval_mixed(form, (2, 2), up) - eval_mixed(form, (2, 2), dn)) / (2 * h)
             assert grads[j][i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+# one monomial table behind value, gradient and coordinate polynomials
+
+# supports of sizes 1, 3 and 2, so the table pads two of its rows
+MIXED_SUPPORT = [((3, 0, 0, 0), 1.0), ((1, 1, 1, 0), 1.0), ((0, 1, 0, 2), 1.0)]
+
+
+def _kernel_forms():
+    rng = np.random.default_rng(23)
+    forms = [
+        random_form(rng, m, d, field)
+        for field in (REAL, COMPLEX)
+        for m, d in ((1, 4), (2, 3), (3, 5), (4, 1), (5, 2), (5, 5))
+    ]
+    forms += [make_form(3, 4, field, MIXED_SUPPORT) for field in (REAL, COMPLEX)]
+    forms += [zero_form(3, 4, field) for field in (REAL, COMPLEX)]
+    return forms
+
+
+@pytest.mark.parametrize("form", _kernel_forms(), ids=repr)
+def test_eval_grad_batch_matches_central_differences(form):
+    rng = np.random.default_rng(29)
+    pts = rng.standard_normal((6, form.dim))
+    if form.field == COMPLEX:
+        pts = pts + 1j * rng.standard_normal((6, form.dim))
+    vals, grads = form.eval_grad_batch(pts)
+    assert grads.shape == (6, form.dim)
+    np.testing.assert_array_equal(vals, form.eval_batch(pts))
+    h = 1e-6
+    for i, step in enumerate(h * np.eye(form.dim)):
+        # a holomorphic partial equals the derivative along the real axis
+        fd = (form.eval_batch(pts + step) - form.eval_batch(pts - step)) / (2 * h)
+        np.testing.assert_allclose(grads[:, i], fd, rtol=1e-6, atol=1e-6)
+
+
+def test_eval_grad_batch_zero_form_is_zero():
+    for field in (REAL, COMPLEX):
+        vals, grads = zero_form(3, 4, field).eval_grad_batch(np.ones((5, 4)))
+        assert vals.shape == (5,) and grads.shape == (5, 4)
+        assert not vals.any() and not grads.any()
+
+
+def test_eval_grad_batch_degree_one_is_coefficients():
+    a = np.array([1.5, -2.0, 0.0, 0.25])
+    form = make_form(1, 4, REAL, [(tuple(np.eye(4, dtype=int)[i]), a[i]) for i in range(4)])
+    pts = np.random.default_rng(31).standard_normal((7, 4))
+    vals, grads = form.eval_grad_batch(pts)
+    np.testing.assert_allclose(vals, pts @ a, rtol=1e-15)
+    np.testing.assert_array_equal(grads, np.broadcast_to(a, (7, 4)))
+
+
+def test_eval_grad_batch_mixed_supports_exact():
+    form = make_form(3, 4, REAL, MIXED_SUPPORT)
+    pts = np.array([[1.0, 2.0, 3.0, 4.0], [-0.5, 0.0, 2.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
+    x1, x2, x3, x4 = pts.T
+    vals, grads = form.eval_grad_batch(pts)
+    np.testing.assert_array_equal(vals, x1**3 + x1 * x2 * x3 + x2 * x4**2)
+    expected = np.stack([3 * x1**2 + x2 * x3, x1 * x3 + x4**2, x1 * x2, 2 * x2 * x4], axis=1)
+    np.testing.assert_array_equal(grads, expected)
+
+
+@pytest.mark.parametrize("pattern", [(3,), (2, 2)])
+def test_coordinate_coeffs_reproduce_the_mixed_value(pattern):
+    rng = np.random.default_rng(37)
+    form = random_form(rng, sum(pattern), 3)
+    xs = rng.uniform(-1.0, 1.0, (len(pattern), 3))
+    for j in range(len(pattern)):
+        for i in range(3):
+            coeffs = _coordinate_coeffs(form, pattern, xs, j, i)
+            assert len(coeffs) == pattern[j] + 1
+            for t in (-1.0, -0.3, 0.5, 1.0):
+                probe = xs.copy()
+                probe[j, i] = t
+                expected = eval_mixed(form, pattern, list(probe))
+                assert abs(np.polynomial.polynomial.polyval(t, coeffs) - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
