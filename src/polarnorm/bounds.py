@@ -350,10 +350,10 @@ def markov_complex_lp(k: int, m: int, p: float) -> BoundRecord:
         exponent, sharp, lo, hi = 1.0 / mprime, False, mprime, m
     value = None
     log_value = exponent * base_log + _lgamma1(k)
-    if exponent == 1.0 and m <= EXACT_DEGREE_LIMIT:
-        mk_pow = (m - k) ** (m - k) if m > k else 1  # 0^0 := 1
-        value, base = _exact_ratio(m**m * math.factorial(k), mk_pow * k**k)
-        log_value = base
+    if exponent == 1.0:
+        # the any-space constant, with its exact integer ratio at low degree
+        homog = markov_complex_any(k, m)[0]
+        value, log_value = homog.value, homog.log_value
     return _record(
         "markov_complex_lp",
         log_value,

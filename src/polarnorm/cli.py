@@ -171,7 +171,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--extremal", help="built-in instance: product | real44 | nonattaining")
     sub.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
     sub.add_argument("--restarts", type=int, default=32, help="random restarts per estimate")
-    sub.add_argument("--parallel", action="store_true", help="run restarts concurrently")
+    sub.add_argument("--parallel", action="store_true",
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--format", choices=["json", "csv", "table"], default="table")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -419,6 +420,8 @@ def cmd_table(args) -> int:
     elif args.asymptotic:
         family = bounds_mod.equal_split_family(args.n)
         ms = list(range(args.n, args.m_max + 1, args.n))
+        if not ms:
+            raise UsageError(f"--asymptotic needs --m-max >= --n, got {args.m_max} < {args.n}")
         scan = bounds_mod.asymptotic_scan(family, ms, field)
         rows = [{"m": m, "bound": v, "root": r} for m, v, r in scan]
         echo = {

@@ -7,7 +7,7 @@ polynomial <-> form round trip unambiguous.  All evaluation routines are
 pure and operate on immutable form objects.
 
 Only this module knows how monomials are stored: each form compiles once
-into a table holding, per monomial, the flat indices i*(m+1) + e of its
+into a table holding, per monomial, the flat indices e*d + i of its
 r <= min(m, d) nonzero exponents e, ascending in the coordinate i and padded
 with x_0^0.  Values, gradients (one exponent lowered) and coordinate
 polynomials multiply the gathered entries of one power table x_i^e, 0 <= e <= m.
@@ -194,8 +194,8 @@ class SymmetricForm:
         coords = np.argsort(E == 0, axis=1, kind="stable")[:, :r]
         exps = np.take_along_axis(E, coords, axis=1)
         support = exps > 0
-        rows = np.where(support, coords * (self.degree + 1) + exps, 0)
-        grad_rows = (rows[:, None, :] - np.eye(r, dtype=np.int64))[support]
+        rows = np.where(support, exps * self.dim + coords, 0)
+        grad_rows = (rows[:, None, :] - self.dim * np.eye(r, dtype=np.int64))[support]
         grad_weights = (self._values[:, None] * exps)[support]
         scatter = np.zeros((len(grad_rows), self.dim))
         scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
@@ -205,12 +205,20 @@ class SymmetricForm:
 
     def _products(self, points: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
         """Per table of rows (K, r), the product over each row of the gathered
-        powers x_i^e of points (N, d), shape (N, K)."""
-        powers = (points[:, :, None] ** np.arange(self.degree + 1)).reshape(len(points), -1)
-        # take, unlike fancy indexing, is C-ordered, so a following matmul sums in one order
-        gathered = [np.take(powers, rows, axis=1) for rows in tables]
+        powers x_i^e of points (N, d), shape (N, K).
+
+        The power table is exponent-major, (m+1, d, N), so each power, each
+        gather and each product runs over N contiguous points; its entries
+        come by repeated multiplication, which is far cheaper than libm pow.
+        """
+        powers = np.empty((self.degree + 1, self.dim, len(points)), dtype=points.dtype)
+        powers[0] = 1.0
+        for e in range(self.degree):
+            np.multiply(powers[e], points.T, out=powers[e + 1])
+        powers = powers.reshape(-1, len(points))
+        gathered = [np.take(powers, rows, axis=0) for rows in tables]
         del powers  # freed before the products, which bounds the peak of large batches
-        return [np.multiply.reduce(g, axis=2) for g in gathered]
+        return [np.multiply.reduce(g, axis=1).T for g in gathered]
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """P at each row of points, shape (N, d) -> (N,)."""
@@ -359,39 +367,41 @@ def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: 
     for complex values that order is not interchangeable bit for bit.
     """
     mult, weights = _block_table(multiplicities)
-    points = np.einsum("cn,tnd->tcd", mult, tuples).reshape(-1, form.dim)
+    points = (mult @ tuples).reshape(-1, form.dim)
     sums = form.eval_batch(points).reshape(tuples.shape[0], -1) @ weights
     return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
 
 
-def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], xs: np.ndarray):
-    """Unchecked core of eval_mixed_grad at one argument tuple xs (n, d)."""
+def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray):
+    """Unchecked core of eval_mixed_grad: values (T,) and block gradients
+    (T, n, d) for argument tuples (T, n, d)."""
     mult, weights = _block_table(multiplicities)
-    vals, grads = form.eval_grad_batch(mult @ xs)
+    points = (mult @ tuples).reshape(-1, form.dim)
+    vals, grads = form.eval_grad_batch(points)
     scale = _polar_scale(sum(multiplicities))
-    value = (weights @ vals) * scale
-    block_grads = (weights[:, None] * mult).T @ grads * scale
-    return value, block_grads
+    values = (vals.reshape(tuples.shape[0], -1) @ weights) * scale
+    block_grads = (weights[:, None] * mult).T @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
+    return values, block_grads
 
 
-def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], xs: np.ndarray,
+def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
                        j: int, i: int) -> np.ndarray:
     """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...),
-    exactly, for real forms; xs (n, d)."""
+    exactly, for real forms; tuples (T, n, d) -> (T, k_j + 1)."""
     if len(multiplicities) == 1:
         # a single block is P itself: read the powers of t off the monomial table
-        probe = xs[0].copy()
-        probe[i] = 1.0
-        (monomials,) = form._products(probe[None], form._table[0])
-        return np.bincount(form._exponents[:, i], weights=monomials[0] * form._values,
-                           minlength=form.degree + 1)
+        probe = tuples[:, 0, :].copy()
+        probe[:, i] = 1.0
+        (monomials,) = form._products(probe, form._table[0])
+        powers_of_t = form._exponents[:, i, None] == np.arange(form.degree + 1)
+        return (monomials * form._values) @ powers_of_t
     # multilinear expansion of block j in the basis direction e_i
     k_j = multiplicities[j]
-    base = xs[j].copy()
-    base[i] = 0.0
-    e_i = np.zeros(form.dim)
-    e_i[i] = 1.0
-    coeffs = np.zeros(k_j + 1)
+    base = tuples[:, j, :].copy()
+    base[:, i] = 0.0
+    e_i = np.zeros_like(base)
+    e_i[:, i] = 1.0
+    coeffs = np.zeros((len(tuples), k_j + 1))
     for s in range(k_j + 1):
         blocks, args = [], []
         for l, k_l in enumerate(multiplicities):
@@ -404,9 +414,9 @@ def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], xs:
                     args.append(e_i)
             else:
                 blocks.append(k_l)
-                args.append(xs[l])
-        value = _mixed_values(form, tuple(blocks), np.stack(args)[None])[0]
-        coeffs[s] = math.comb(k_j, s) * float(np.real(value))
+                args.append(tuples[:, l, :])
+        values = _mixed_values(form, tuple(blocks), np.stack(args, axis=1))
+        coeffs[:, s] = math.comb(k_j, s) * np.real(values)
     return coeffs
 
 
@@ -436,7 +446,8 @@ def eval_mixed_grad(form: SymmetricForm, pattern, vectors: Sequence):
     if len(vectors) != pat.n:
         raise FormError(f"pattern has {pat.n} blocks, got {len(vectors)} vectors")
     xs = np.stack([_as_vector(form, x) for x in vectors])
-    return _mixed_value_grad(form, pat.multiplicities, xs)
+    values, grads = _mixed_value_grad(form, pat.multiplicities, xs[None])
+    return values[0], grads[0]
 
 
 def _multiset_index_tuples(alpha):

@@ -17,13 +17,20 @@ Each sweep moves every block in turn, holding the others fixed:
 - any other block takes a projected gradient step with backtracking:
   radial normalization for 1 < p < infinity, soft-threshold projection
   for p = 1, modulus clipping for complex p = infinity.
+
+All starts of one estimate ascend in lockstep as one (S, n, d) array.
+Every move of a sweep is one batched kernel call over the starts still
+iterating, and each backtracking round one call over the starts still
+pending; each start keeps its own step sizes and leaves the batch when it
+converges, so it tries the same candidates it would try alone.  The best
+start is the first of the highest values, in start order.  The ell_p
+geometry below acts row-wise on the last axis for the same reason.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -59,9 +66,10 @@ class OptimizerConfig:
     """Multi-start ascent settings.
 
     Each restart draws from an independent substream derived from
-    (seed, restart index), so results do not depend on whether starts run
-    serially or concurrently.  The tolerance applies to the relative
-    objective change between accepted iterates.
+    (seed, restart index).  All starts of one estimate ascend together in
+    lockstep, so parallel is accepted for compatibility and has no effect
+    on what is computed or returned.  The tolerance applies to the
+    relative objective change between accepted iterates.
     """
 
     restarts: int = 32
@@ -108,22 +116,35 @@ class NormEstimate:
 
 # ---------------------------------------------------------------------------
 # ell_p geometry
+#
+# Each function takes one vector (d,) or rows (S, d) and acts on the last axis.
 
 
-def lp_norm(x: np.ndarray, p: float) -> float:
+def lp_norm(x: np.ndarray, p: float):
+    """ell_p norm: a float for a vector, shape (S,) for rows.
+
+    Moduli are divided by the largest before powering, so no finite p,
+    however close to 1 or large, underflows a nonzero vector to norm 0.
+    """
     moduli = np.abs(x)
+    top = moduli.max(axis=-1, keepdims=True, initial=0.0)
+    # kept dimensions: numpy's scalar power can round differently from its
+    # array power, and a vector must get the same norm as the same row
     if math.isinf(p):
-        return float(moduli.max()) if x.size else 0.0
-    if p == 1.0:
-        return float(moduli.sum())
-    return float((moduli**p).sum() ** (1.0 / p))
+        norm = top
+    elif p == 1.0:
+        norm = moduli.sum(axis=-1, keepdims=True)
+    else:
+        scale = np.where(top > 0, top, 1.0)
+        norm = scale * ((moduli / scale) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    return float(norm[0]) if x.ndim == 1 else norm[..., 0]
 
 
 def radial_normalize(x: np.ndarray, p: float) -> np.ndarray:
     norm = lp_norm(x, p)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise NormError("cannot normalize the zero vector")
-    return x / norm
+    return x / np.asarray(norm)[..., None]
 
 
 def project_l1_sphere(x: np.ndarray) -> np.ndarray:
@@ -132,33 +153,27 @@ def project_l1_sphere(x: np.ndarray) -> np.ndarray:
     Exterior points project by soft thresholding of the moduli (phases are
     kept); interior points are pushed out radially.
     """
-    moduli = np.abs(x)
-    total = moduli.sum()
-    if total == 0.0:
+    rows = x.reshape(-1, x.shape[-1])
+    moduli = np.abs(rows)
+    total = moduli.sum(axis=1, keepdims=True)
+    if np.any(total == 0.0):
         raise NormError("cannot project the zero vector")
-    if total <= 1.0:
-        return x / total
-    sorted_m = np.sort(moduli)[::-1]
-    cumsum = np.cumsum(sorted_m)
-    ranks = np.arange(1, len(sorted_m) + 1)
-    tau_candidates = (cumsum - 1.0) / ranks
-    k = np.nonzero(sorted_m - tau_candidates > 0)[0][-1]
-    tau = tau_candidates[k]
+    sorted_m = np.sort(moduli, axis=1)[:, ::-1]
+    tau_candidates = (np.cumsum(sorted_m, axis=1) - 1.0) / np.arange(1, rows.shape[1] + 1)
+    # the threshold of the last rank whose sorted modulus exceeds it
+    k = rows.shape[1] - 1 - (sorted_m > tau_candidates)[:, ::-1].argmax(axis=1)
+    tau = tau_candidates[np.arange(len(rows)), k][:, None]
     shrunk = np.maximum(moduli - tau, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phases = np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0.0)
-    return phases * shrunk
+    phases = np.where(moduli > 0, rows / np.where(moduli > 0, moduli, 1.0), 0.0)
+    return np.where(total <= 1.0, rows / total, phases * shrunk).reshape(x.shape)
 
 
 def _clip_linf(x: np.ndarray) -> np.ndarray:
+    """Entries of modulus above 1 scaled onto the unit circle; a row inside
+    the ball is pushed out radially instead."""
     moduli = np.abs(x)
-    over = moduli > 1.0
-    if not over.any():
-        mx = moduli.max()
-        return x / mx if mx > 0 else x
-    out = x.copy()
-    out[over] = x[over] / moduli[over]
-    return out
+    top = moduli.max(axis=-1, keepdims=True)
+    return x / np.where(top > 1.0, np.maximum(moduli, 1.0), np.where(top > 0, top, 1.0))
 
 
 def _sphere_move(x: np.ndarray, p: float) -> np.ndarray:
@@ -176,24 +191,21 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     the conjugate phase.  Ties at p = 1 break to the lowest index; the zero
     functional returns e_1.
     """
+    e1 = np.eye(1, dim, dtype=phi.dtype)[0]
+    phi = np.where(np.abs(phi).any(axis=-1, keepdims=True), phi, e1)
     moduli = np.abs(phi)
-    if not moduli.any():
-        e1 = np.zeros(dim, dtype=phi.dtype)
-        e1[0] = 1.0
-        return e1
-    with np.errstate(invalid="ignore", divide="ignore"):
+    if np.iscomplexobj(phi):
         phases = np.where(moduli > 0, np.conj(phi) / np.where(moduli > 0, moduli, 1.0), 0.0)
-    if not np.iscomplexobj(phi):
+    else:
         phases = np.sign(phi)
     if p == 1.0:
-        idx = int(np.argmax(moduli))
-        out = np.zeros(dim, dtype=phi.dtype)
-        out[idx] = phases[idx]
-        return out
+        idx = np.argmax(moduli, axis=-1)[..., None]
+        return np.where(np.arange(dim) == idx, phases, 0.0)
     if math.isinf(p):
-        return phases.astype(phi.dtype)
-    weights = moduli ** (conjugate_exponent(p) - 1.0)
-    return radial_normalize(phases * weights, p)
+        return phases
+    # scaled like lp_norm: near p = 1 the power p' - 1 is huge
+    top = moduli.max(axis=-1, keepdims=True)
+    return radial_normalize(phases * (moduli / top) ** (conjugate_exponent(p) - 1.0), p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +223,7 @@ def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
         return np.zeros((0, dim))
     rows = [row for row in itertools.product(alphabet, repeat=dim) if any(c != 0 for c in row)]
     arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
-    moduli = np.abs(arr)
-    if math.isinf(p):
-        norms = moduli.max(axis=1)
-    elif p == 1.0:
-        norms = moduli.sum(axis=1)
-    else:
-        norms = (moduli**p).sum(axis=1) ** (1.0 / p)
-    return arr / norms[:, None]
+    return radial_normalize(arr, p)
 
 
 def _random_unit(rng: np.random.Generator, dim: int, p: float, field: str) -> np.ndarray:
@@ -231,22 +236,6 @@ def _random_unit(rng: np.random.Generator, dim: int, p: float, field: str) -> np
 
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
-
-
-def _run_starts(starts, worker, parallel: bool):
-    """Evaluate every start with the worker; reduction is index-ordered so
-    concurrent execution returns bit-identical results."""
-    if parallel and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(starts))) as pool:
-            outcomes = list(pool.map(worker, starts))
-    else:
-        outcomes = [worker(s) for s in starts]
-    best = outcomes[0]
-    for out in outcomes[1:]:
-        if out[0] > best[0]:
-            best = out
-    converged = sum(1 for out in outcomes if out[2])
-    return best, converged
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +252,59 @@ def _values(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray
     return _mixed_values(form, pat.multiplicities, tuples, modulus=True)
 
 
-def _value(form: SymmetricForm, pat: Pattern, xs: np.ndarray) -> float:
-    # numpy's scalar and array complex moduli can differ in the last bit; a
-    # single block keeps the scalar one its values have always used
+def _value_grads(form: SymmetricForm, pat: Pattern, tuples: np.ndarray):
+    """Signed values (T,) and block gradients (T, n, d) at argument tuples."""
     if pat.n == 1:
-        return float(abs(form.eval_batch(xs)[0]))
-    return float(_mixed_values(form, pat.multiplicities, xs[None], modulus=True)[0])
-
-
-def _value_grads(form: SymmetricForm, pat: Pattern, xs: np.ndarray):
-    """Signed value and the (n, d) block gradients at one argument tuple."""
-    if pat.n == 1:
-        vals, grads = form.eval_grad_batch(xs)
-        return vals[0], grads
-    return _mixed_value_grad(form, pat.multiplicities, xs)
+        vals, grads = form.eval_grad_batch(tuples[:, 0, :])
+        return vals, grads[:, None, :]
+    return _mixed_value_grad(form, pat.multiplicities, tuples)
 
 
 def _max_abs_univariate(coeffs: np.ndarray):
-    """(t*, |q(t*)|) over [-1, 1] via stationary points of q plus endpoints."""
-    candidates = [-1.0, 1.0]
-    if len(coeffs) > 1:
-        deriv = npoly.polyder(coeffs)
-        if np.any(deriv != 0):
-            roots = npoly.polyroots(deriv)
-            for r in np.atleast_1d(roots):
-                if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and -1.0 <= r.real <= 1.0:
-                    candidates.append(float(r.real))
-    candidates = sorted(set(candidates))
-    values = np.abs(npoly.polyval(np.array(candidates), coeffs))
-    idx = int(np.argmax(values))
-    return candidates[idx], float(values[idx])
+    """Per row of ascending coefficients (A, K + 1) of q: (t*, |q(t*)|) over
+    [-1, 1], from the real stationary points of q plus the endpoints.
+
+    Roots come from companion eigenvalues, batched over the rows whose
+    derivative has the same degree once trailing zero coefficients are
+    dropped; the first of equal maxima in ascending t wins.
+    """
+    rows, size = coeffs.shape
+    deriv = coeffs[:, 1:] * np.arange(1, size)
+    nonzero = deriv != 0
+    degree = np.where(nonzero.any(axis=1), size - 2 - nonzero[:, ::-1].argmax(axis=1), 0)
+    roots = np.full((rows, max(size - 2, 0)), np.nan, dtype=complex)
+    for k in np.unique(degree[degree > 0]):
+        sel = np.flatnonzero(degree == k)
+        c = deriv[sel, : k + 1]
+        if k == 1:
+            roots[sel, 0] = -c[:, 0] / c[:, 1]
+            continue
+        companion = np.zeros((len(sel), k, k))
+        companion.reshape(len(sel), -1)[:, k :: k + 1] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots[sel, :k] = np.linalg.eigvals(companion)
+    real = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))) & (np.abs(roots.real) <= 1.0)
+    ends = np.broadcast_to([-1.0, 1.0], (rows, 2))
+    t = np.sort(np.concatenate([ends, np.where(real, roots.real, np.nan)], axis=1), axis=1)
+    q = coeffs[:, -1:] + t * 0
+    for e in range(size - 2, -1, -1):
+        q = coeffs[:, e : e + 1] + q * t
+    values = np.where(np.isnan(t), -np.inf, np.abs(q))
+    best = values.argmax(axis=1)
+    pick = np.arange(rows)
+    return t[pick, best], values[pick, best]
 
 
-def _ascent_direction(value, grad):
-    if np.iscomplexobj(grad):
+def _ascent_direction(values: np.ndarray, grads: np.ndarray):
+    """Per row, the unit direction in which |value| grows, and its length
+    before scaling (0 where there is none); values (R,), grads (R, d)."""
+    if np.iscomplexobj(grads):
         # at a zero of P the modulus still grows linearly along conj(grad)
-        dirn = np.conj(grad) * value if value != 0 else np.conj(grad)
+        dirn = np.conj(grads) * np.where(values != 0, values, 1.0)[:, None]
     else:
-        dirn = grad if value >= 0 else -grad
-    norm = float(np.linalg.norm(dirn))
-    return (dirn / norm, norm) if norm > 0 else (dirn, 0.0)
+        dirn = np.where((values >= 0)[:, None], grads, -grads)
+    norm = np.linalg.norm(dirn, axis=1)
+    return dirn / np.where(norm > 0, norm, 1.0)[:, None], norm
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,7 @@ def _ascent_direction(value, grad):
 
 
 def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
-    """Argument tuples (n, d) to ascend from: the diagonal witness, axes, the
+    """Argument tuples (S, n, d) to ascend from: the diagonal witness, axes, the
     normalized ones vector, the best ternary tuples at p in {1, inf}, the
     caller's extra starts, then one seeded random tuple per restart."""
     d, p, n = form.dim, space.p, pat.n
@@ -327,7 +329,7 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
         if p == 1.0 or math.isinf(p):
             cands = _ternary_candidates(d, p, form.field)
             if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
-                combos = np.array(list(itertools.product(range(len(cands)), repeat=n)))
+                combos = np.indices((len(cands),) * n).reshape(n, -1).T
                 tuples = cands[combos]
                 vals = _values(form, pat, tuples)
                 order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
@@ -337,64 +339,95 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
     for i in range(cfg.restarts):
         rng = _restart_rng(cfg.seed, i)
         starts.append(np.stack([_random_unit(rng, d, p, form.field) for _ in range(n)]))
-    return starts
+    return np.stack(starts)
+
+
+def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
+    """Exact coordinate moves of block j on the real sup-norm ball, for the
+    starts act; updates xs (S, n, d) and vals (S,) in place."""
+    for i in range(form.dim):
+        t_star, v_star = _max_abs_univariate(
+            _coordinate_coeffs(form, pat.multiplicities, xs[act], j, i))
+        better = v_star > vals[act]
+        xs[act[better], j, i] = t_star[better]
+        vals[act[better]] = v_star[better]
+    top = np.abs(xs[act, j]).max(axis=1)
+    inside = (0.0 < top) & (top < 1.0)
+    if inside.any():
+        rows = act[inside]
+        xs[rows, j] /= top[inside, None]
+        vals[rows] = _values(form, pat, xs[rows])
+
+
+def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
+                    init_step: float) -> None:
+    """One projected gradient step with backtracking on block j, for the
+    starts act; each backtracking round evaluates the starts still pending.
+    Updates xs (S, n, d), vals (S,) and steps (S, n) in place."""
+    raw, grads = _value_grads(form, pat, xs[act])
+    dirn, gnorm = _ascent_direction(raw, grads[:, j])
+    rows, dirn = act[gnorm > 0], dirn[gnorm > 0]
+    step = steps[rows, j]
+    accepted = np.zeros(len(rows), dtype=bool)
+    pending = np.flatnonzero(step >= _MIN_STEP)
+    while len(pending):
+        tried = rows[pending]
+        cand = xs[tried]
+        cand[:, j] = _sphere_move(cand[:, j] + step[pending, None] * dirn[pending], p)
+        cvals = _values(form, pat, cand)
+        up = cvals > vals[tried]
+        xs[tried[up]] = cand[up]
+        vals[tried[up]] = cvals[up]
+        accepted[pending[up]] = True
+        pending = pending[~up]
+        step[pending] *= 0.5
+        pending = pending[step[pending] >= _MIN_STEP]
+    # a stalled block may become movable again once the others shift, so
+    # failure resets the step instead of pinning it
+    steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)
 
 
 def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig):
-    """Cyclic block moves from one start: (value, xs, converged)."""
-    d = form.dim
-    xs = np.stack([_sphere_move(x, p) for x in xs0])
-    val = _value(form, pat, xs)
-    steps = [cfg.init_step] * pat.n
+    """Cyclic block moves from every start xs0 (S, n, d) in lockstep:
+    (values (S,), xs (S, n, d), converged (S,)).
+
+    The starts still iterating (act) make each move together, one kernel
+    call per move; every start keeps its own step sizes and leaves when it
+    converges, so it follows the path it would follow alone.
+    """
+    S, n, d = xs0.shape
+    xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
+    vals = _values(form, pat, xs)
+    steps = np.full((S, n), cfg.init_step)
+    converged = np.zeros(S, dtype=bool)
+    act = np.arange(S)
     real_sup = form.field == REAL and math.isinf(p)
-    converged = False
     for _ in range(cfg.max_iter):
-        before = val
+        before = vals[act]
+        # after a linear move the values are evaluated only once a later
+        # move or the sweep's end needs them
+        stale = False
         for j, k_j in enumerate(pat.multiplicities):
             if k_j == 1:
-                _, grads = _value_grads(form, pat, xs)
-                xs[j] = dual_align(grads[j], p, d)
-                # evaluated only once a later move or the sweep's end needs it
-                val = None
+                _, grads = _value_grads(form, pat, xs[act])
+                xs[act, j] = dual_align(grads[:, j], p, d)
+                stale = True
                 continue
-            if val is None:
-                val = _value(form, pat, xs)
+            if stale:
+                vals[act] = _values(form, pat, xs[act])
+                stale = False
             if real_sup:
-                for i in range(d):
-                    t_star, v_star = _max_abs_univariate(
-                        _coordinate_coeffs(form, pat.multiplicities, xs, j, i))
-                    if v_star > val:
-                        xs[j, i] = t_star
-                        val = v_star
-                mx = float(np.abs(xs[j]).max())
-                if 0.0 < mx < 1.0:
-                    xs[j] = xs[j] / mx
-                    val = _value(form, pat, xs)
+                _coordinate_moves(form, pat, j, xs, vals, act)
             else:
-                raw_val, grads = _value_grads(form, pat, xs)
-                dirn, gnorm = _ascent_direction(raw_val, grads[j])
-                if gnorm == 0.0:
-                    continue
-                step = steps[j]
-                accepted = False
-                while step >= _MIN_STEP:
-                    cand = xs.copy()
-                    cand[j] = _sphere_move(xs[j] + step * dirn, p)
-                    cval = _value(form, pat, cand)
-                    if cval > val:
-                        xs, val = cand, cval
-                        accepted = True
-                        break
-                    step *= 0.5
-                # a stalled block may become movable again once the others
-                # shift, so failure resets the step instead of pinning it
-                steps[j] = min(step * 1.3, _MAX_STEP) if accepted else cfg.init_step
-        if val is None:
-            val = _value(form, pat, xs)
-        if val - before <= cfg.tol * max(val, 1e-300):
-            converged = True
+                _gradient_moves(form, p, pat, j, xs, vals, steps, act, cfg.init_step)
+        if stale:
+            vals[act] = _values(form, pat, xs[act])
+        done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
+        converged[act[done]] = True
+        act = act[~done]
+        if not len(act):
             break
-    return val, xs, converged
+    return vals, xs, converged
 
 
 def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness,
@@ -402,11 +435,17 @@ def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, dia
     """Best block ascent over all starts, renormalized onto the unit sphere."""
     p = space.p
     starts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
-    (_, xs, _), converged = _run_starts(
-        starts, lambda xs0: _block_ascent(form, p, pat, xs0, cfg), cfg.parallel
-    )
-    xs = np.stack([radial_normalize(x, p) if lp_norm(x, p) > 0 else x for x in xs])
-    return NormEstimate(_value(form, pat, xs), list(xs), method, converged)
+    vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg)
+    # index-ordered strict reduction: the first of equal values wins
+    best = 0
+    for s in range(1, len(vals)):
+        if vals[s] > vals[best]:
+            best = s
+    xs = tuples[best]
+    nonzero = lp_norm(xs, p) > 0
+    xs[nonzero] = radial_normalize(xs[nonzero], p)
+    value = float(_values(form, pat, xs[None])[0])
+    return NormEstimate(value, list(xs), method, int(converged.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +548,7 @@ def _dense_sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
         )
     else:
         raise NormError("dense grids are supported only for dim <= 3")
-    norms = np.array([lp_norm(row, p) for row in dirs])
+    norms = lp_norm(dirs, p)
     keep = norms > 0
     return dirs[keep] / norms[keep, None]
 
@@ -523,7 +562,7 @@ def _extreme_candidates(space: SpaceSpec, resolution: int) -> np.ndarray:
         refine = raw[:, :d] + 1j * raw[:, d:]
     else:
         refine = rng.standard_normal((resolution, d))
-    refine = np.stack([radial_normalize(r, p) for r in refine])
+    refine = radial_normalize(refine, p)
     return np.concatenate([cands, refine]) if len(cands) else refine
 
 
@@ -552,7 +591,7 @@ def grid_oracle(
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
     if len(cands) ** pat.n > 2_000_000:
         raise NormError("candidate grid too large for this pattern")
-    combos = np.array(list(itertools.product(range(len(cands)), repeat=pat.n)))
+    combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
     tuples = cands[combos]
     vals = _values(form, pat, tuples)
     idx = int(np.argmax(vals))

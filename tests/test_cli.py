@@ -296,6 +296,8 @@ def test_bounds_real_large_degree(capsys, k):
         ("verify", "--pattern", "2,1", "--slack", "-1"),
         ("verify", "--pattern", "2,1", "--slack", "inf"),
         ("table", "--chebyshev", "--m", "-3"),
+        ("table", "--asymptotic", "--n", "3", "--m-max", "2"),
+        ("table", "--asymptotic", "--n", "2", "--m-max", "-5"),
     ],
 )
 def test_bad_numeric_flags_exit_2(capsys, argv):

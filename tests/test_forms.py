@@ -337,7 +337,7 @@ def test_coordinate_coeffs_reproduce_the_mixed_value(pattern):
     xs = rng.uniform(-1.0, 1.0, (len(pattern), 3))
     for j in range(len(pattern)):
         for i in range(3):
-            coeffs = _coordinate_coeffs(form, pattern, xs, j, i)
+            coeffs = _coordinate_coeffs(form, pattern, xs[None], j, i)[0]
             assert len(coeffs) == pattern[j] + 1
             for t in (-1.0, -0.3, 0.5, 1.0):
                 probe = xs.copy()

@@ -8,7 +8,9 @@ from polarnorm.forms import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    as_pattern,
     conjugate_exponent,
+    eval_mixed,
     make_form,
     random_form,
     zero_form,
@@ -16,6 +18,9 @@ from polarnorm.forms import (
 from polarnorm.norms import (
     NormError,
     OptimizerConfig,
+    _block_ascent,
+    _clip_linf,
+    _starts,
     dual_align,
     grid_oracle,
     lp_norm,
@@ -23,6 +28,7 @@ from polarnorm.norms import (
     multilinear_norm,
     poly_norm,
     project_l1_sphere,
+    radial_normalize,
     ratio_report,
 )
 
@@ -83,6 +89,39 @@ def test_dual_align_is_exact_linear_maximizer():
         assert lp_norm(y, p) == pytest.approx(1.0, abs=1e-12)
         pprime = 1.0 if math.isinf(p) else (math.inf if p == 1.0 else p / (p - 1.0))
         assert float(phi @ y) == pytest.approx(lp_norm(phi, pprime), rel=1e-12)
+
+
+def _geometry_rows(field):
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((6, 4)) * np.array([[0.1], [0.3], [1.0], [2.0], [30.0], [1e-3]])
+    if field == COMPLEX:
+        rows = rows + 1j * rng.standard_normal((6, 4))
+    rows[1, 2] = 0.0
+    rows[2] = [0.5, -0.5, 0.5, -0.1]  # a tie in modulus
+    return rows
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_row_wise_geometry_equals_the_vector_call_per_row(field):
+    rows = _geometry_rows(field)
+    moves = [project_l1_sphere, _clip_linf]
+    for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 1e6, math.inf):
+        np.testing.assert_array_equal(lp_norm(rows, p), [lp_norm(row, p) for row in rows])
+        moves += [lambda x, p=p: radial_normalize(x, p), lambda x, p=p: dual_align(x, p, 4)]
+    for fn in moves:
+        np.testing.assert_array_equal(fn(rows), np.stack([fn(row) for row in rows]))
+    zero = np.zeros((2, 4), dtype=rows.dtype)
+    np.testing.assert_array_equal(_clip_linf(zero), zero)
+    for p in (1.0, 2.0, math.inf):
+        np.testing.assert_array_equal(dual_align(zero, p, 4), [[1, 0, 0, 0]] * 2)
+
+
+def test_row_wise_geometry_rejects_a_zero_row():
+    rows = np.array([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(NormError):
+        radial_normalize(rows, 2.0)
+    with pytest.raises(NormError):
+        project_l1_sphere(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +379,35 @@ def test_homogeneity_general_scale(seed, c):
     base = poly_norm(f, sp, cfg)
     scaled = poly_norm(f.scaled(c), sp, cfg)
     assert scaled.value == pytest.approx(c * base.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1), (1, 1, 1), (2, 2)])
+def test_lockstep_matches_each_start_alone(pattern, p, field):
+    pat = as_pattern(pattern)
+    rng = np.random.default_rng(61)
+    f = random_form(rng, pat.m, 3, field)
+    space = SpaceSpec(p, 3, field)
+    cfg = OptimizerConfig(restarts=4, seed=5)
+    starts = _starts(f, space, pat, cfg, (), None)
+    vals, xs, _ = _block_ascent(f, p, pat, starts, cfg)
+    for s in range(len(starts)):
+        alone, _, _ = _block_ascent(f, p, pat, starts[s:s + 1], cfg)
+        assert alone[0] == pytest.approx(vals[s], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pattern", [(1, 1, 1), (2, 1), (3,)])
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1e6])
+def test_extreme_p_estimates_are_feasible_and_consistent(p, pattern):
+    # p near 1 once underflowed dual_align's weights to 0 and large p
+    # lp_norm's powers, so estimates raised "cannot normalize the zero vector"
+    f = random_form(np.random.default_rng(1), 3, 3)
+    est = mixed_norm(f, SpaceSpec(p, 3), pattern, OptimizerConfig(restarts=8))
+    for w in est.witnesses:
+        assert lp_norm(w, p) <= 1.0 + 1e-12
+    recomputed = abs(eval_mixed(f, pattern, est.witnesses))
+    assert est.value == pytest.approx(recomputed, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
