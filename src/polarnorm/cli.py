@@ -25,6 +25,7 @@ from .extremals import nonattaining_bilinear, product_extremal, real44_form, ver
 from .forms import COMPLEX, REAL, FormError, SpaceSpec, load_form, random_form, save_form
 from .norms import (
     DEFAULT_BOUND_SLACK,
+    DegenerateFormError,
     NormError,
     OptimizerConfig,
     ratio_report,
@@ -337,14 +338,15 @@ def verify_samples(forms, space: SpaceSpec, pattern, config: OptimizerConfig, sl
     """Measure the mixed/poly ratio of every form against the best bound.
 
     Degenerate forms (zero polynomial norm estimate) are skipped with a
-    note rather than failed.
+    note rather than failed; any other NormError is a usage error and
+    propagates.
     """
     best = bounds_mod.bound_best(pattern, space.p, space.field)
     rows = []
     for idx, form in enumerate(forms):
         try:
             rep = ratio_report(form, space, pattern, config, slack=slack)
-        except NormError:
+        except DegenerateFormError:
             rows.append({"index": idx, "skipped": True, "note": "degenerate"})
             continue
         rows.append(

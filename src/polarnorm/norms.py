@@ -20,9 +20,11 @@ Each sweep moves every block in turn, holding the others fixed:
 
 All starts of one estimate ascend in lockstep as one (S, n, d) array.
 Every move of a sweep is one batched kernel call over the starts still
-iterating, and each backtracking round one call over the starts still
-pending; each start keeps its own step sizes and leaves the batch when it
-converges, so it tries the same candidates it would try alone.  The best
+iterating.  Backtracking tries every start's step in one call, then each
+start still pending its next max(1, S // pending) halvings in one call per
+round, and takes the largest step that improves.  Each start keeps its own
+step sizes and leaves the batch when it converges, so it accepts the same
+candidates it would accept alone, halving one step at a time.  The best
 start is the first of the highest values, in start order.  The ell_p
 geometry below acts row-wise on the last axis for the same reason.
 """
@@ -59,6 +61,10 @@ _TOP_CANDIDATE_STARTS = 8
 
 class NormError(ValueError):
     """Invalid arguments for a norm estimation request."""
+
+
+class DegenerateFormError(NormError):
+    """The polynomial norm estimate is zero, so a ratio has no denominator."""
 
 
 @dataclass(frozen=True)
@@ -362,15 +368,20 @@ def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
 def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
                     init_step: float) -> None:
     """One projected gradient step with backtracking on block j, for the
-    starts act; each backtracking round evaluates the starts still pending.
-    Updates xs (S, n, d), vals (S,) and steps (S, n) in place."""
+    starts act.  Updates xs (S, n, d), vals (S,) and steps (S, n) in place.
+
+    Every start first tries its own step, in one call.  Then each start still
+    pending tries its next w halvings in one call, w = max(1, S // pending),
+    so no call evaluates more than S tuples, and takes the first (largest)
+    that improves: the step that halving one at a time would accept.
+    """
     raw, grads = _value_grads(form, pat, xs[act])
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
     rows, dirn = act[gnorm > 0], dirn[gnorm > 0]
     step = steps[rows, j]
     accepted = np.zeros(len(rows), dtype=bool)
     pending = np.flatnonzero(step >= _MIN_STEP)
-    while len(pending):
+    if len(pending):
         tried = rows[pending]
         cand = xs[tried]
         cand[:, j] = _sphere_move(cand[:, j] + step[pending, None] * dirn[pending], p)
@@ -379,9 +390,27 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
         xs[tried[up]] = cand[up]
         vals[tried[up]] = cvals[up]
         accepted[pending[up]] = True
-        pending = pending[~up]
-        step[pending] *= 0.5
-        pending = pending[step[pending] >= _MIN_STEP]
+        pending = pending[~up & (0.5 * step[pending] >= _MIN_STEP)]
+    while len(pending):
+        # ldexp halves exactly: rung k has the bits of k successive halvings
+        width = max(1, len(xs) // len(pending))
+        ladder = np.ldexp(step[pending, None], -np.arange(1, width + 1))
+        who, rung = np.nonzero(ladder >= _MIN_STEP)
+        tried = rows[pending[who]]
+        cand = xs[tried]
+        cand[:, j] = _sphere_move(cand[:, j] + ladder[who, rung, None] * dirn[pending[who]], p)
+        cvals = _values(form, pat, cand)
+        # who ascends and, within a start, so does rung: the first improving
+        # candidate of a start is its largest improving step
+        up = np.flatnonzero(cvals > vals[tried])
+        first = up[np.unique(who[up], return_index=True)[1]]
+        won = pending[who[first]]
+        xs[rows[won]] = cand[first]
+        vals[rows[won]] = cvals[first]
+        step[pending] = ladder[:, -1]
+        step[won] = ladder[who[first], rung[first]]
+        accepted[won] = True
+        pending = pending[~accepted[pending] & (0.5 * step[pending] >= _MIN_STEP)]
     # a stalled block may become movable again once the others shift, so
     # failure resets the step instead of pinning it
     steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)
@@ -659,7 +688,7 @@ def ratio_report(
     pat = as_pattern(pattern)
     poly = poly_norm(form, space, config)
     if poly.value == 0.0:
-        raise NormError("polynomial norm estimate is zero (degenerate form)")
+        raise DegenerateFormError("polynomial norm estimate is zero (degenerate form)")
     mixed = mixed_norm(form, space, pat, config)
     ratio = mixed.value / poly.value
     checks = []

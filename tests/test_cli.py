@@ -208,6 +208,18 @@ def test_verify_samples_skips_degenerate_zero_form():
     assert rows[1]["passed"]
 
 
+def test_verify_over_the_polarization_cap_exit_2(capsys):
+    # the 21-slot multilinear norm is over the degree-20 cap: a usage error,
+    # not a degenerate form to skip
+    code, out, err = run_cli(
+        capsys, "verify", "--pattern", ",".join(["1"] * 21), "--d", "2",
+        "--samples", "2", "--restarts", "1", "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "polarization cap" in err
+
+
 # ---------------------------------------------------------------------------
 # table
 

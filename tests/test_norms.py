@@ -15,12 +15,20 @@ from polarnorm.forms import (
     random_form,
     zero_form,
 )
+from polarnorm import norms
 from polarnorm.norms import (
+    _MAX_STEP,
+    _MIN_STEP,
     NormError,
     OptimizerConfig,
+    _ascent_direction,
     _block_ascent,
     _clip_linf,
+    _gradient_moves,
+    _sphere_move,
     _starts,
+    _value_grads,
+    _values,
     dual_align,
     grid_oracle,
     lp_norm,
@@ -397,6 +405,110 @@ def test_lockstep_matches_each_start_alone(pattern, p, field):
         assert alone[0] == pytest.approx(vals[s], rel=1e-12, abs=0.0)
 
 
+def _serial_gradient_moves(form, p, pat, j, xs, vals, steps, init_step):
+    """Oracle of the halving ladder: one start at a time, one halving per
+    _values call, accepting the first step that improves."""
+    for s in range(len(xs)):
+        raw, grads = _value_grads(form, pat, xs[s:s + 1])
+        dirn, gnorm = _ascent_direction(raw, grads[:, j])
+        if gnorm[0] == 0:
+            continue
+        step, accepted = steps[s, j], False
+        while step >= _MIN_STEP:
+            cand = xs[s:s + 1].copy()
+            cand[:, j] = _sphere_move(cand[:, j] + step * dirn, p)
+            cval = _values(form, pat, cand)[0]
+            if cval > vals[s]:
+                xs[s], vals[s], accepted = cand[0], cval, True
+                break
+            step *= 0.5
+        steps[s, j] = min(step * 1.3, _MAX_STEP) if accepted else init_step
+
+
+def _stationary_form(m, d, field, rng):
+    """A random form with a large x_1^m term and no x_1^{m-1} x_i term: at the
+    tuple (e_1, ..., e_1) every block gradient is parallel to e_1, so each
+    step lands back on e_1, where the value is exact, and no halving improves."""
+    base = random_form(rng, m, d, field)
+    entries = []
+    for alpha, c in base.coeffs.items():
+        if alpha.exponents[0] == m:
+            c = 3.0
+        elif alpha.exponents[0] == m - 1:
+            continue
+        entries.append((alpha, c))
+    return make_form(m, d, field, entries)
+
+
+@pytest.mark.parametrize(
+    "field,p", [(REAL, 1.0), (REAL, 1.5), (REAL, 2.0), (REAL, 3.0),
+                (COMPLEX, 1.0), (COMPLEX, 1.5), (COMPLEX, 2.0), (COMPLEX, 3.0),
+                (COMPLEX, math.inf)])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1), (2, 2)])
+def test_halving_ladder_matches_serial_backtracking(pattern, p, field):
+    pat = as_pattern(pattern)
+    f = _stationary_form(pat.m, 3, field, np.random.default_rng(67))
+    cfg = OptimizerConfig(restarts=21, seed=2, structured_starts=False)
+    random_starts = _starts(f, SpaceSpec(p, 3, field), pat, cfg, (), None)
+    # at e_1 no step improves, so its ladders run out, from 0.5 and at the
+    # _MIN_STEP edge; the value there is exact in any batch
+    e1 = np.eye(1, 3, dtype=random_starts.dtype).repeat(pat.n, axis=0)
+    xs0 = np.concatenate([random_starts, [e1, e1, e1]])
+    xs0 = _sphere_move(xs0.reshape(-1, 3), p).reshape(xs0.shape)
+    vals0 = _values(f, pat, xs0)
+    steps0 = np.array([[(0.5, _MAX_STEP, 0.5**40)[(s + b) % 3] for b in range(pat.n)]
+                       for s in range(len(random_starts))]
+                      + [[size] * pat.n for size in (0.5, 1.5 * _MIN_STEP, 3 * _MIN_STEP)])
+    for j in [b for b, k in enumerate(pattern) if k > 1]:
+        xs, vals, steps = xs0.copy(), vals0.copy(), steps0.copy()
+        _gradient_moves(f, p, pat, j, xs, vals, steps, np.arange(len(xs)), 0.5)
+        s_xs, s_vals, s_steps = xs0.copy(), vals0.copy(), steps0.copy()
+        _serial_gradient_moves(f, p, pat, j, s_xs, s_vals, s_steps, 0.5)
+        # Where no step gains more than rounding noise (1e-12 relative), as at
+        # a random start that the projection keeps from ascending at p != 2,
+        # accepting a step near _MIN_STEP turns on the last bits of values,
+        # which depend on how the kernel's batch is composed.
+        gain = s_vals > vals0 * (1.0 + 1e-12)
+        assert vals == pytest.approx(s_vals, rel=1e-12, abs=0.0)
+        assert np.array_equal(vals > vals0 * (1.0 + 1e-12), gain)
+        assert np.array_equal(steps[gain], s_steps[gain])
+        assert gain.sum() >= len(random_starts) // 2
+        # some starts accept only after halving, so the ladder is exercised
+        assert (steps[gain, j] < 1.3 * steps0[gain, j]).any()
+        assert np.array_equal(vals[-3:], vals0[-3:]) and np.array_equal(s_vals[-3:], vals0[-3:])
+        assert (steps[-3:, j] == 0.5).all() and (s_steps[-3:, j] == 0.5).all()
+
+
+def test_halving_ladder_exhausts_a_stationary_start_in_few_calls(monkeypatch):
+    # P = x_1^3 on the real l_2 ball: e_1 is its maximizer, and every other
+    # start with a positive first coordinate improves at its first step
+    f = make_form(3, 3, REAL, [((3, 0, 0), 1.0)])
+    pat = as_pattern(3)
+    rng = np.random.default_rng(71)
+    others = np.abs(rng.standard_normal((31, 3))) + [0.0, 0.1, 0.1]
+    xs = radial_normalize(np.concatenate([[[1.0, 0.0, 0.0]], others]), 2.0)[:, None, :]
+    vals = _values(f, pat, xs)
+    before = vals.copy()
+    steps = np.full((32, 1), 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return _values(*args)
+
+    monkeypatch.setattr(norms, "_values", counted)
+    _gradient_moves(f, 2.0, pat, 0, xs, vals, steps, np.arange(32), 0.5)
+    assert vals[0] == before[0] and steps[0, 0] == 0.5
+    assert (vals[1:] > before[1:]).all()
+    # one round for all 32 starts, then ladders of up to 32 halvings, which
+    # try each halving of 0.5 down to _MIN_STEP once: 58 of them, one call
+    # each when halving one at a time
+    halvings = sum(0.5 * 2.0**-k >= _MIN_STEP for k in range(1, 100))
+    assert len(calls) <= 3
+    assert calls[0] == 32 and sum(calls[1:]) == halvings
+    assert max(calls) <= 32
+
+
 @pytest.mark.parametrize("pattern", [(1, 1, 1), (2, 1), (3,)])
 @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1e6])
 def test_extreme_p_estimates_are_feasible_and_consistent(p, pattern):
@@ -408,6 +520,21 @@ def test_extreme_p_estimates_are_feasible_and_consistent(p, pattern):
         assert lp_norm(w, p) <= 1.0 + 1e-12
     recomputed = abs(eval_mixed(f, pattern, est.witnesses))
     assert est.value == pytest.approx(recomputed, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 1e6, math.inf]),
+    st.sampled_from([REAL, COMPLEX]),
+    st.sampled_from([(3,), (2, 1), (1, 1, 1), (2, 2)]),
+    st.integers(0, 2**16),
+)
+def test_mixed_norm_witnesses_are_feasible_and_attain_the_value(p, field, pattern, seed):
+    f = random_form(np.random.default_rng(seed), sum(pattern), 3, field)
+    est = mixed_norm(f, SpaceSpec(p, 3, field), pattern, OptimizerConfig(restarts=4, seed=seed))
+    for w in est.witnesses:
+        assert lp_norm(w, p) <= 1.0 + 1e-12
+    assert est.value == pytest.approx(abs(eval_mixed(f, pattern, est.witnesses)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
