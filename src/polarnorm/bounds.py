@@ -192,7 +192,8 @@ def bound_banach_mazur(pattern, p: Optional[float] = None) -> BoundRecord:
 
 
 def bound_Kmp(m: int, p: float) -> BoundRecord:
-    """Degree-m polarization constant of ell_p, in three p-ranges.
+    """Degree-m polarization constant of ell_p, in the three p-ranges of
+    _complex_lp_branch.
 
     The middle range takes the smaller of the outer-branch value frozen at
     p = m' and the Euclidean-distance bound m^{m|p-2|/(2p)}.
@@ -200,21 +201,17 @@ def bound_Kmp(m: int, p: float) -> BoundRecord:
     if m < 2:
         raise BoundError(f"m must be >= 2, got {m}")
     p = _check_p(p)
-    mprime = m / (m - 1.0)
+    _, sharp, p_lo, p_hi = _complex_lp_branch(m, p)
     log_m = math.log(m)
     note = ""
-    if p <= mprime:
+    if sharp:
         log_value = (m / p) * log_m - _lgamma1(m)
-        sharp = True
-    elif p >= m:
-        pprime = conjugate_exponent(p)
-        log_value = (m / pprime) * log_m - _lgamma1(m)
-        sharp = False
+    elif math.isinf(p_hi):
+        log_value = (m / conjugate_exponent(p)) * log_m - _lgamma1(m)
     else:
-        first = (m / mprime) * log_m - _lgamma1(m)
+        first = (m / p_lo) * log_m - _lgamma1(m)
         second = (m * abs(p - 2.0) / (2.0 * p)) * log_m
         log_value = min(first, second)
-        sharp = False
         note = "interpolation branch" if second < first else "polarization branch"
     return _record(
         "K_m_p",
@@ -254,6 +251,18 @@ def harris_conjecture(m: int, p: float) -> BoundRecord:
 # complex-space constants
 
 
+def _complex_lp_branch(m: int, p: float):
+    """(exponent, sharp, p_lo, p_hi) of the degree-m complex ell_p constants
+    at p: the exponent of the any-space base is 1/p on [1, m'] (sharp),
+    1/p' on [m, inf], and 1/m' on the gap (m', m) between them."""
+    mprime = conjugate_exponent(m)
+    if p <= mprime:
+        return 1.0 / p, True, 1.0, mprime
+    if p >= m:
+        return 1.0 / conjugate_exponent(p), False, m, math.inf
+    return 1.0 / mprime, False, mprime, m
+
+
 def bound_complex_lp(pattern, p: float) -> BoundRecord:
     """Mixed-argument constant on complex ell_p; no estimate on (m', m).
 
@@ -262,55 +271,37 @@ def bound_complex_lp(pattern, p: float) -> BoundRecord:
     first range.
     """
     pat = as_pattern(pattern)
-    p = _check_p(p)
-    m = pat.m
-    mprime = math.inf if m == 1 else m / (m - 1.0)
-    base_log, fact_log = _pattern_logs(pat)
-
-    def _value_at_exponent(exponent: float):
-        if exponent == 1.0:
-            cx = bound_complex_any(pat)
-            return cx.value, cx.log_value
-        return None, exponent * base_log + fact_log
-
-    if p <= mprime:
-        value, log_value = _value_at_exponent(1.0 / p)
+    exponent, sharp, p_lo, p_hi = _complex_lp_branch(pat.m, _check_p(p))
+    if not sharp and math.isfinite(p_hi):  # the gap (m', m)
         return _record(
             "complex_lp",
-            log_value,
-            value,
+            math.inf,
+            math.inf,
             field=COMPLEX,
-            p_lo=1.0,
-            p_hi=mprime,
-            pattern=pat.multiplicities,
-            sharp=True,
-            citation="Cauchy-formula bound with torus averaging; attained by block products",
-        )
-    if p >= m:
-        value, log_value = _value_at_exponent(1.0 / conjugate_exponent(p))
-        return _record(
-            "complex_lp",
-            log_value,
-            value,
-            field=COMPLEX,
-            p_lo=m,
-            p_hi=math.inf,
+            p_lo=p_lo,
+            p_hi=p_hi,
             pattern=pat.multiplicities,
             sharp=False,
-            citation="Cauchy-formula bound with torus averaging",
+            applicable=False,
+            citation="no p-specific estimate between the conjugate exponents",
+            note="use bound_best: the Banach-Mazur bound covers this range",
         )
+    base_log, fact_log = _pattern_logs(pat)
+    value, log_value = None, exponent * base_log + fact_log
+    if exponent == 1.0:
+        cx = bound_complex_any(pat)
+        value, log_value = cx.value, cx.log_value
+    citation = "Cauchy-formula bound with torus averaging"
     return _record(
         "complex_lp",
-        math.inf,
-        math.inf,
+        log_value,
+        value,
         field=COMPLEX,
-        p_lo=mprime,
-        p_hi=m,
+        p_lo=p_lo,
+        p_hi=p_hi,
         pattern=pat.multiplicities,
-        sharp=False,
-        applicable=False,
-        citation="no p-specific estimate between the conjugate exponents",
-        note="use bound_best: the Banach-Mazur bound covers this range",
+        sharp=sharp,
+        citation=(citation + "; attained by block products") if sharp else citation,
     )
 
 
@@ -339,15 +330,8 @@ def markov_complex_lp(k: int, m: int, p: float) -> BoundRecord:
     """Markov constant for the k-homogeneous derivative polynomial on complex ell_p."""
     if not 1 <= k <= m:
         raise BoundError(f"need 1 <= k <= m, got k={k}, m={m}")
-    p = _check_p(p)
-    mprime = math.inf if m == 1 else m / (m - 1.0)
+    exponent, sharp, lo, hi = _complex_lp_branch(m, _check_p(p))
     base_log = m * math.log(m) - _xlogx(m - k) - _xlogx(k)
-    if p <= mprime:
-        exponent, sharp, lo, hi = 1.0 / p, True, 1.0, mprime
-    elif p >= m:
-        exponent, sharp, lo, hi = 1.0 / conjugate_exponent(p), False, m, math.inf
-    else:
-        exponent, sharp, lo, hi = 1.0 / mprime, False, mprime, m
     value = None
     log_value = exponent * base_log + _lgamma1(k)
     if exponent == 1.0:
@@ -724,11 +708,10 @@ def bound_best(pattern, p: Optional[float], field: str) -> BoundRecord:
     for rec in records[1:]:
         if rec.value < winner.value:
             winner = rec
-    pat = as_pattern(pattern)
-    exact, note = _registry_exact(winner, pat, field)
-    if exact is None and field == COMPLEX and p is not None:
-        lp = bound_complex_lp(pat, p)
-        if lp.applicable and lp.sharp:
-            exact = lp.value
-            note += "; sharp on this p-range, attained by block products"
+    exact, note = _registry_exact(winner, as_pattern(pattern), field)
+    # applicable_bounds keeps complex_lp only where it applies
+    sharp_lp = [rec for rec in records if rec.name == "complex_lp" and rec.sharp]
+    if exact is None and sharp_lp:
+        exact = sharp_lp[0].value
+        note += "; sharp on this p-range, attained by block products"
     return replace(winner, name="best", exact=exact, note=note)

@@ -87,14 +87,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of the rows, in the order it first appears."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def _render_csv(rows: list[dict]) -> str:
     if not rows:
         return "\n"
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = _columns(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -106,11 +107,7 @@ def _render_csv(rows: list[dict]) -> str:
 def _render_table(rows: list[dict]) -> str:
     if not rows:
         return "(empty)\n"
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = _columns(rows)
     cells = [[_csv_cell(row.get(k)) for k in header] for row in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -337,6 +334,9 @@ def cmd_estimate(args) -> int:
 def verify_samples(forms, space: SpaceSpec, pattern, config: OptimizerConfig, slack: float):
     """Measure the mixed/poly ratio of every form against the best bound.
 
+    A row passes when its RatioReport does: the ratio is within the slack
+    of every applicable bound, so within the slack of their minimum,
+    bound_best.
     Degenerate forms (zero polynomial norm estimate) are skipped with a
     note rather than failed; any other NormError is a usage error and
     propagates.
@@ -354,7 +354,7 @@ def verify_samples(forms, space: SpaceSpec, pattern, config: OptimizerConfig, sl
                 "index": idx,
                 "ratio": rep.ratio,
                 "bound": best.value,
-                "passed": rep.ratio <= best.value * (1.0 + slack),
+                "passed": rep.passed,
             }
         )
     return rows, best

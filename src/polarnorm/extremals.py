@@ -21,6 +21,7 @@ from .forms import (
     SpaceSpec,
     SymmetricForm,
     as_pattern,
+    conjugate_exponent,
     eval_mixed,
     form_to_dict,
     make_form,
@@ -103,7 +104,6 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     prod_fact = math.prod(math.factorial(k) for k in pat)
     exact_poly = m ** (-m / p)
     exact_ratio = (m**m / prod_kk) ** (1.0 / p) * prod_fact / math.factorial(m)
-    mprime = math.inf if m == 1 else m / (m - 1.0)
     return ExtremalInstance(
         name="product",
         form=form,
@@ -112,7 +112,7 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
         witnesses=witnesses,
         exact_poly_norm=exact_poly,
         exact_ratio=exact_ratio,
-        ratio_is_sharp=p <= mprime,
+        ratio_is_sharp=p <= conjugate_exponent(m),
         citation="disjoint block vectors saturate the complex ell_p constant",
     )
 
@@ -207,13 +207,16 @@ class InstanceReport:
         }
 
 
+# Relative tolerances of verify_instance against the stored exact values.
+POLY_TOL = 1e-5
+RATIO_TOL = 1e-2
+
+
 def verify_instance(
-    instance: ExtremalInstance,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-    poly_tol: float = 1e-5,
-    ratio_tol: float = 1e-2,
+    instance: ExtremalInstance, config: OptimizerConfig = DEFAULT_CONFIG
 ) -> InstanceReport:
-    """Re-measure an instance with the generic estimators and compare.
+    """Re-measure an instance with the generic estimators and compare,
+    within POLY_TOL and RATIO_TOL relative to max(1, exact value).
 
     The stored witnesses seed the mixed estimator, so the measured ratio
     can only meet or beat the recorded one.
@@ -232,10 +235,10 @@ def verify_instance(
     passed = True
     if instance.exact_poly_norm is not None:
         poly_error = abs(poly.value - instance.exact_poly_norm)
-        passed &= poly_error <= poly_tol * max(1.0, instance.exact_poly_norm)
+        passed &= poly_error <= POLY_TOL * max(1.0, instance.exact_poly_norm)
     if instance.exact_ratio is not None:
         ratio_error = abs(ratio - abs(instance.exact_ratio))
-        passed &= ratio_error <= ratio_tol * max(1.0, abs(instance.exact_ratio))
+        passed &= ratio_error <= RATIO_TOL * max(1.0, abs(instance.exact_ratio))
     return InstanceReport(
         name=instance.name,
         poly=poly,

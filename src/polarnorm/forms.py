@@ -420,8 +420,9 @@ def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tup
     return coeffs
 
 
-def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLARIZE_DEGREE_CAP):
-    """L(x_1^{k_1} ... x_n^{k_n}) by block sign enumeration."""
+def _mixed_arguments(form: SymmetricForm, pattern, vectors: Sequence, cap: int):
+    """(multiplicities, one argument tuple (1, n, d)) for the checked mixed
+    evaluation of the block vectors in pattern."""
     pat = as_pattern(pattern)
     if pat.m != form.degree:
         raise FormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
@@ -429,8 +430,12 @@ def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLAR
         raise FormError(f"pattern has {pat.n} blocks, got {len(vectors)} vectors")
     if pat.m > cap:
         raise FormError(f"degree {pat.m} exceeds polarization cap {cap}")
-    xs = np.stack([_as_vector(form, x) for x in vectors])
-    out = _mixed_values(form, pat.multiplicities, xs[None])[0]
+    return pat.multiplicities, np.stack([_as_vector(form, x) for x in vectors])[None]
+
+
+def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLARIZE_DEGREE_CAP):
+    """L(x_1^{k_1} ... x_n^{k_n}) by block sign enumeration."""
+    out = _mixed_values(form, *_mixed_arguments(form, pattern, vectors, cap))[0]
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 
@@ -438,15 +443,11 @@ def eval_mixed_grad(form: SymmetricForm, pattern, vectors: Sequence):
     """Mixed value plus its gradient with respect to every block vector.
 
     Returns (value, grads) with grads[j] the (holomorphic) partial of the
-    mixed value in the j-th block argument; shape (n, d).
+    mixed value in the j-th block argument; shape (n, d).  Degrees above
+    POLARIZE_DEGREE_CAP are refused, as in eval_mixed.
     """
-    pat = as_pattern(pattern)
-    if pat.m != form.degree:
-        raise FormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
-    if len(vectors) != pat.n:
-        raise FormError(f"pattern has {pat.n} blocks, got {len(vectors)} vectors")
-    xs = np.stack([_as_vector(form, x) for x in vectors])
-    values, grads = _mixed_value_grad(form, pat.multiplicities, xs[None])
+    values, grads = _mixed_value_grad(
+        form, *_mixed_arguments(form, pattern, vectors, POLARIZE_DEGREE_CAP))
     return values[0], grads[0]
 
 

@@ -20,9 +20,10 @@ Each sweep moves every block in turn, holding the others fixed:
 
 All starts of one estimate ascend in lockstep as one (S, n, d) array.
 Every move of a sweep is one batched kernel call over the starts still
-iterating.  Backtracking tries every start's step in one call, then each
-start still pending its next max(1, S // pending) halvings in one call per
-round, and takes the largest step that improves.  Each start keeps its own
+iterating.  Backtracking is one loop over halving ladders, one call per
+round: the first round tries every start's own step, each later round the
+next max(1, S // pending) halvings of every start still pending, and each
+start takes the largest step that improves.  Each start keeps its own
 step sizes and leaves the batch when it converges, so it accepts the same
 candidates it would accept alone, halving one step at a time.  The best
 start is the first of the highest values, in start order.  The ell_p
@@ -41,6 +42,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .forms import (
     COMPLEX,
+    POLARIZE_DEGREE_CAP,
     REAL,
     Pattern,
     SpaceSpec,
@@ -370,10 +372,12 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     """One projected gradient step with backtracking on block j, for the
     starts act.  Updates xs (S, n, d), vals (S,) and steps (S, n) in place.
 
-    Every start first tries its own step, in one call.  Then each start still
-    pending tries its next w halvings in one call, w = max(1, S // pending),
-    so no call evaluates more than S tuples, and takes the first (largest)
-    that improves: the step that halving one at a time would accept.
+    One loop walks each start's halving ladder step * 2^-k, one kernel call
+    per round.  The first round tries rung 0, every start's own step; each
+    later round gives every start still pending its next w rungs,
+    w = max(1, S // pending), so no call evaluates more than S tuples.  A
+    start takes its first (largest) improving rung: the step that halving
+    one at a time would accept.
     """
     raw, grads = _value_grads(form, pat, xs[act])
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
@@ -381,36 +385,29 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     step = steps[rows, j]
     accepted = np.zeros(len(rows), dtype=bool)
     pending = np.flatnonzero(step >= _MIN_STEP)
-    if len(pending):
-        tried = rows[pending]
-        cand = xs[tried]
-        cand[:, j] = _sphere_move(cand[:, j] + step[pending, None] * dirn[pending], p)
-        cvals = _values(form, pat, cand)
-        up = cvals > vals[tried]
-        xs[tried[up]] = cand[up]
-        vals[tried[up]] = cvals[up]
-        accepted[pending[up]] = True
-        pending = pending[~up & (0.5 * step[pending] >= _MIN_STEP)]
+    rungs = np.arange(1)
     while len(pending):
         # ldexp halves exactly: rung k has the bits of k successive halvings
-        width = max(1, len(xs) // len(pending))
-        ladder = np.ldexp(step[pending, None], -np.arange(1, width + 1))
-        who, rung = np.nonzero(ladder >= _MIN_STEP)
-        tried = rows[pending[who]]
+        ladder = np.ldexp(step[pending, None], -rungs)
+        valid = ladder >= _MIN_STEP
+        idx, trial = pending[valid.nonzero()[0]], ladder[valid]
+        tried = rows[idx]
         cand = xs[tried]
-        cand[:, j] = _sphere_move(cand[:, j] + ladder[who, rung, None] * dirn[pending[who]], p)
+        cand[:, j] = _sphere_move(cand[:, j] + trial[:, None] * dirn[idx], p)
         cvals = _values(form, pat, cand)
-        # who ascends and, within a start, so does rung: the first improving
-        # candidate of a start is its largest improving step
+        # idx ascends and, within a start, trial descends: the first improving
+        # candidate of each start is its largest improving step
         up = np.flatnonzero(cvals > vals[tried])
-        first = up[np.unique(who[up], return_index=True)[1]]
-        won = pending[who[first]]
+        first = up[idx[up] != np.append(-1, idx[up][:-1])]
+        won = idx[first]
         xs[rows[won]] = cand[first]
         vals[rows[won]] = cvals[first]
-        step[pending] = ladder[:, -1]
-        step[won] = ladder[who[first], rung[first]]
+        step[won] = trial[first]
         accepted[won] = True
-        pending = pending[~accepted[pending] & (0.5 * step[pending] >= _MIN_STEP)]
+        pending = pending[~accepted[pending] & (0.5 * ladder[:, -1] >= _MIN_STEP)]
+        # rungs count halvings of the entry step; pending never outnumbers the
+        # S starts, so S // pending >= 1 (the max guards the loop's end)
+        rungs = rungs[-1] + np.arange(1, len(xs) // max(1, len(pending)) + 1)
     # a stalled block may become movable again once the others shift, so
     # failure resets the step instead of pinning it
     steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)
@@ -518,7 +515,7 @@ def multilinear_norm(
     seeds one start, which keeps the estimate at or above the polynomial norm.
     """
     _check_space(form, space)
-    if form.degree > 20:
+    if form.degree > POLARIZE_DEGREE_CAP:
         raise NormError(f"degree {form.degree} exceeds the polarization cap")
     pat = as_pattern(tuple([1] * form.degree))
     diag = poly_norm(form, space, config).witnesses[0]

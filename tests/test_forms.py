@@ -270,6 +270,16 @@ def test_eval_mixed_grad_matches_finite_difference():
             assert grads[j][i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def test_eval_mixed_grad_refuses_a_degree_over_the_cap_like_eval_mixed():
+    # (21,) has a 22-row block table, so the check, not the cost, refuses it
+    f = make_form(21, 1, REAL, [((21,), 1.0)])
+    x = np.array([1.0])
+    with pytest.raises(FormError, match="polarization cap"):
+        eval_mixed(f, (21,), [x])
+    with pytest.raises(FormError, match="polarization cap"):
+        eval_mixed_grad(f, (21,), [x])
+
+
 # one monomial table behind value, gradient and coordinate polynomials
 
 # supports of sizes 1, 3 and 2, so the table pads two of its rows

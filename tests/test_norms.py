@@ -509,6 +509,34 @@ def test_halving_ladder_exhausts_a_stationary_start_in_few_calls(monkeypatch):
     assert max(calls) <= 32
 
 
+def test_first_backtracking_round_tries_one_step_per_moving_start(monkeypatch):
+    # P = x_1^3 + x_2^2 x_3/2 has zero gradient at e_3, so of the 4 iterating
+    # starts (of 32) only the 3 others move; the first round must try exactly
+    # one step for each of them, not a ladder of S // pending halvings
+    f = make_form(3, 3, REAL, [((3, 0, 0), 1.0), ((0, 2, 1), 0.5)])
+    pat = as_pattern(3)
+    rng = np.random.default_rng(5)
+    xs = radial_normalize(rng.standard_normal((32, 3)), 2.0)[:, None, :]
+    xs[9, 0] = [0.0, 0.0, 1.0]
+    vals = _values(f, pat, xs)
+    steps = np.full((32, 1), 0.5)
+    act = np.array([2, 9, 17, 30])
+    moving = np.array([2, 17, 30])
+    raw, grads = _value_grads(f, pat, xs[moving])
+    dirn, _ = _ascent_direction(raw, grads[:, 0])
+    expected = _sphere_move(xs[moving, 0] + 0.5 * dirn, 2.0)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[2].copy())
+        return _values(*args)
+
+    monkeypatch.setattr(norms, "_values", recorded)
+    _gradient_moves(f, 2.0, pat, 0, xs, vals, steps, act, 0.5)
+    assert calls[0].shape == (3, 1, 3)
+    np.testing.assert_array_equal(calls[0][:, 0], expected)
+
+
 @pytest.mark.parametrize("pattern", [(1, 1, 1), (2, 1), (3,)])
 @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1e6])
 def test_extreme_p_estimates_are_feasible_and_consistent(p, pattern):
