@@ -103,7 +103,13 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     prod_kk = math.prod(k**k for k in pat)
     prod_fact = math.prod(math.factorial(k) for k in pat)
     exact_poly = m ** (-m / p)
-    exact_ratio = (m**m / prod_kk) ** (1.0 / p) * prod_fact / math.factorial(m)
+    try:
+        exact_ratio = (m**m / prod_kk) ** (1.0 / p) * prod_fact / math.factorial(m)
+    except OverflowError:
+        raise FormError(
+            f"the exact constants of a degree-{m} pattern with {pat.n} blocks "
+            "leave the float range"
+        ) from None
     return ExtremalInstance(
         name="product",
         form=form,
@@ -228,6 +234,7 @@ def verify_instance(
         instance.pattern,
         config,
         extra_starts=[instance.witnesses],
+        poly=poly,
     )
     ratio = mixed.value / poly.value if poly.value > 0 else math.inf
     witness_value = abs(instance.witness_mixed_value)

@@ -222,14 +222,22 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
 
 def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     """Normalized sign-pattern candidates {-1,0,1}^d (plus phases i, -i when
-    the complex set stays small); exact maximizers of many extremal
-    instances at p in {1, inf} live on this set."""
+    the complex set stays small), one per class of unit multiples; exact
+    maximizers of many extremal instances at p in {1, inf} live on this set.
+
+    Every block value and every ell_p norm ignores a unit scalar on a
+    block, so of the rows c*x, c in {-1, 1} (and {i, -i} with the complex
+    alphabet), only the one whose first nonzero entry is 1 is kept, in
+    itertools.product order: (|A|^d - 1) / |U| rows.  The cap counts the
+    whole alphabet's rows.
+    """
     alphabet: tuple = (-1.0, 0.0, 1.0)
     if field == COMPLEX and (5**dim - 1) <= _CANDIDATE_CAP:
         alphabet = (0.0, 1.0, -1.0, 1.0j, -1.0j)
     if len(alphabet) ** dim - 1 > _CANDIDATE_CAP:
         return np.zeros((0, dim))
-    rows = [row for row in itertools.product(alphabet, repeat=dim) if any(c != 0 for c in row)]
+    rows = [row for row in itertools.product(alphabet, repeat=dim)
+            if next((c for c in row if c != 0), None) == 1]
     arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
     return radial_normalize(arr, p)
 
@@ -319,10 +327,23 @@ def _ascent_direction(values: np.ndarray, grads: np.ndarray):
 # the ascent engine
 
 
+def _score_grid(form, pat: Pattern, cands: np.ndarray):
+    """Every tuple of the product grid cands^n, (T, n, d) in row-major order
+    of the candidate indices, and its value |L| (T,)."""
+    combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
+    tuples = cands[combos]
+    return tuples, _values(form, pat, tuples)
+
+
 def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
     """Argument tuples (S, n, d) to ascend from: the diagonal witness, axes, the
     normalized ones vector, the best ternary tuples at p in {1, inf}, the
-    caller's extra starts, then one seeded random tuple per restart."""
+    caller's extra starts, then one seeded random tuple per restart.
+
+    The ternary tuples are the top values of the product grid of class
+    representatives, so no two are unit multiples block by block; the grid
+    is scored only while it has at most _CANDIDATE_CAP tuples.
+    """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
     starts: list[np.ndarray] = []
@@ -337,9 +358,7 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
         if p == 1.0 or math.isinf(p):
             cands = _ternary_candidates(d, p, form.field)
             if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
-                combos = np.indices((len(cands),) * n).reshape(n, -1).T
-                tuples = cands[combos]
-                vals = _values(form, pat, tuples)
+                tuples, vals = _score_grid(form, pat, cands)
                 order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
                 starts.extend(tuples[i] for i in order)
     for xs in extra_starts:
@@ -506,6 +525,8 @@ def multilinear_norm(
     space: SpaceSpec,
     config: OptimizerConfig = DEFAULT_CONFIG,
     extra_starts: Sequence = (),
+    *,
+    poly: NormEstimate | None = None,
 ) -> NormEstimate:
     """Estimate the full multilinear norm sup |L(x_1, ..., x_m)|.
 
@@ -513,13 +534,16 @@ def multilinear_norm(
     with all slots but one fixed the objective is linear, so each slot update
     is the exact dual-alignment maximizer.  The diagonal witness of poly_norm
     seeds one start, which keeps the estimate at or above the polynomial norm.
+    A caller that holds poly_norm(form, space, config) passes it as poly,
+    and it is not estimated again.
     """
     _check_space(form, space)
     if form.degree > POLARIZE_DEGREE_CAP:
         raise NormError(f"degree {form.degree} exceeds the polarization cap")
     pat = as_pattern(tuple([1] * form.degree))
-    diag = poly_norm(form, space, config).witnesses[0]
-    return _estimate(form, space, pat, config, extra_starts, diag, "alternating")
+    if poly is None:
+        poly = poly_norm(form, space, config)
+    return _estimate(form, space, pat, config, extra_starts, poly.witnesses[0], "alternating")
 
 
 def mixed_norm(
@@ -528,20 +552,31 @@ def mixed_norm(
     pattern,
     config: OptimizerConfig = DEFAULT_CONFIG,
     extra_starts: Sequence = (),
+    *,
+    poly: NormEstimate | None = None,
 ) -> NormEstimate:
     """Estimate sup |L(x_1^{k_1} ... x_n^{k_n})| over unit vectors.
 
     Block ascent seeded with the diagonal witness of poly_norm; all-ones
-    patterns go through multilinear_norm.
+    patterns go through multilinear_norm.  A caller that holds
+    poly_norm(form, space, config) passes it as poly, and it is not
+    estimated again; the result is the same.  For the pattern (m,) with no
+    extra starts that estimate is the result itself.
     """
     _check_space(form, space)
     pat = as_pattern(pattern)
     if pat.m != form.degree:
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
     if pat.n > 1 and set(pat.multiplicities) == {1}:
-        return replace(multilinear_norm(form, space, config, extra_starts), method="ascent")
-    diag = poly_norm(form, space, config).witnesses[0] if pat.n > 1 else None
-    return _estimate(form, space, pat, config, extra_starts, diag, "ascent")
+        return replace(multilinear_norm(form, space, config, extra_starts, poly=poly),
+                       method="ascent")
+    if pat.n == 1:
+        if poly is not None and not len(extra_starts):
+            return replace(poly)
+        return _estimate(form, space, pat, config, extra_starts, None, "ascent")
+    if poly is None:
+        poly = poly_norm(form, space, config)
+    return _estimate(form, space, pat, config, extra_starts, poly.witnesses[0], "ascent")
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +636,10 @@ def grid_oracle(
     """Deterministic sampling lower bound used to validate the ascent estimators.
 
     Dense angular grids cover dim <= 3; at p in {1, inf} the sign-pattern
-    extreme points (plus a fixed random refinement stream) cover any small
-    dimension.  Doubling the resolution never decreases the value.
+    extreme points, one per class of unit multiples (plus a fixed random
+    refinement stream), cover any small dimension.  Doubling the resolution
+    never decreases the value.  starts_converged is the number of tuples
+    scored: the candidate count to the power n.
     """
     _check_space(form, space)
     if resolution < 8:
@@ -617,9 +654,7 @@ def grid_oracle(
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
     if len(cands) ** pat.n > 2_000_000:
         raise NormError("candidate grid too large for this pattern")
-    combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
-    tuples = cands[combos]
-    vals = _values(form, pat, tuples)
+    tuples, vals = _score_grid(form, pat, cands)
     idx = int(np.argmax(vals))
     return NormEstimate(float(vals[idx]), list(tuples[idx]), "grid", len(tuples))
 
@@ -686,7 +721,7 @@ def ratio_report(
     poly = poly_norm(form, space, config)
     if poly.value == 0.0:
         raise DegenerateFormError("polynomial norm estimate is zero (degenerate form)")
-    mixed = mixed_norm(form, space, pat, config)
+    mixed = mixed_norm(form, space, pat, config, poly=poly)
     ratio = mixed.value / poly.value
     checks = []
     for rec in bounds_mod.applicable_bounds(pat, space.p, space.field):

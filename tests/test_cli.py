@@ -336,6 +336,16 @@ def test_extremal_writes_form_and_sidecar(capsys, tmp_path):
     assert sidecar["witnesses"][0] == [0.5, 0.5, 0.0]
 
 
+@pytest.mark.parametrize("pattern", ["200", ",".join(["1"] * 144)], ids=["200", "1x144"])
+def test_extremal_product_past_the_float_range_exit_2(capsys, pattern):
+    code, out, err = run_cli(
+        capsys, "extremal", "--extremal", "product", "--pattern", pattern, "--p", "1.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
 def test_csv_json_numeric_agreement(capsys):
     args = ["bounds", "--pattern", "2,2", "--field", "real"]
     code, json_out, _ = run_cli(capsys, *args, "--format", "json")

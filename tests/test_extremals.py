@@ -74,6 +74,13 @@ def test_product_extremal_rejects_infinite_p():
         product_extremal((2, 1), math.inf)
 
 
+def test_product_extremal_refuses_constants_past_the_float_range():
+    assert math.isfinite(product_extremal((1,) * 143, 1.5).exact_ratio)
+    for pattern in [(1,) * 144, (171,), (170, 30)]:
+        with pytest.raises(FormError, match="float range"):
+            product_extremal(pattern, 1.5)
+
+
 def test_product_extremal_sharpness_flag_range():
     assert product_extremal((2, 1), 1.5).ratio_is_sharp  # p = m' exactly
     assert not product_extremal((2, 1), 2.0).ratio_is_sharp

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from polarnorm.norms import (
     _gradient_moves,
     _sphere_move,
     _starts,
+    _ternary_candidates,
     _value_grads,
     _values,
     dual_align,
@@ -334,6 +336,51 @@ def test_grid_oracle_pattern_mode():
 
 
 # ---------------------------------------------------------------------------
+# ternary candidates: one per class of unit multiples
+
+UNITS = {REAL: (1.0, -1.0), COMPLEX: (1.0, -1.0, 1.0j, -1.0j)}
+ALPHABETS = {REAL: (-1.0, 0.0, 1.0), COMPLEX: (0.0, 1.0, -1.0, 1.0j, -1.0j)}
+
+
+def _unit_multiples(a, b, field):
+    """(A, B) table: is b_j = u * a_i for some unit u of the field."""
+    units = np.array(UNITS[field])[:, None, None, None]
+    gaps = np.abs(units * a[None, :, None, :] - b[None, None, :, :]).max(axis=-1)
+    return (gaps <= 1e-12).any(axis=0)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ternary_candidates_keep_one_row_per_class_of_unit_multiples(dim, field):
+    p = 1.0
+    rows = _ternary_candidates(dim, p, field)
+    alphabet = ALPHABETS[field]
+    assert len(rows) == (len(alphabet) ** dim - 1) // len(UNITS[field])
+    # no two rows are unit multiples of each other
+    assert (_unit_multiples(rows, rows, field) == np.eye(len(rows), dtype=bool)).all()
+    # every nonzero row of the full alphabet is a unit multiple of exactly one
+    full = np.array([r for r in itertools.product(alphabet, repeat=dim) if any(r)])
+    full = radial_normalize(full.astype(rows.dtype), p)
+    assert (_unit_multiples(rows, full, field).sum(axis=0) == 1).all()
+
+
+def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
+    # the first form of `verify --pattern 2,1 --field complex --p 1 --d 3 --seed 3`
+    form = random_form(np.random.default_rng(3), 3, 3, COMPLEX)
+    space = SpaceSpec(1.0, 3, COMPLEX)
+    pat = as_pattern((2, 1))
+    starts = _starts(form, space, pat, OptimizerConfig(restarts=1, seed=3), (), None)
+    # the d axes and the ones vector come first, the restart last
+    ternary = starts[4:-1]
+    assert len(ternary) == norms._TOP_CANDIDATE_STARTS
+    # tuples s and t are one start when every block of t is a unit multiple of s's
+    same = np.ones((len(ternary),) * 2, dtype=bool)
+    for j in range(pat.n):
+        same &= _unit_multiples(ternary[:, j], ternary[:, j], COMPLEX)
+    assert (same == np.eye(len(ternary), dtype=bool)).all()
+
+
+# ---------------------------------------------------------------------------
 # determinism and structure
 
 
@@ -587,3 +634,55 @@ def test_ratio_report_hilbert():
 def test_ratio_report_zero_form_raises():
     with pytest.raises(NormError):
         ratio_report(zero_form(2, 2), SpaceSpec(2.0, 2), (1, 1), CFG)
+
+
+def _count_poly_norm(monkeypatch):
+    from polarnorm import extremals
+
+    calls = []
+    original = norms.poly_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "poly_norm", counted)
+    monkeypatch.setattr(extremals, "poly_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 1, 1)])
+def test_ratio_report_estimates_the_polynomial_norm_once(monkeypatch, pattern):
+    calls = _count_poly_norm(monkeypatch)
+    form = random_form(np.random.default_rng(61), 3, 3)
+    ratio_report(form, SpaceSpec(1.5, 3), pattern, OptimizerConfig(restarts=4))
+    assert len(calls) == 1
+
+
+def test_verify_instance_estimates_the_polynomial_norm_once(monkeypatch):
+    from polarnorm.extremals import nonattaining_bilinear, verify_instance
+
+    calls = _count_poly_norm(monkeypatch)
+    verify_instance(nonattaining_bilinear(5), OptimizerConfig(restarts=4))
+    assert len(calls) == 1
+
+
+def test_ratio_report_single_block_ascends_once(monkeypatch):
+    # the mixed estimate of the pattern (m,) is the poly estimate itself
+    calls = []
+    original = norms._estimate
+    monkeypatch.setattr(norms, "_estimate", lambda *a: calls.append(a) or original(*a))
+    form = random_form(np.random.default_rng(71), 3, 3)
+    rep = ratio_report(form, SpaceSpec(1.5, 3), (3,), OptimizerConfig(restarts=4))
+    assert len(calls) == 1
+    assert rep.mixed.to_dict() == rep.poly.to_dict() and rep.ratio == 1.0
+
+
+@pytest.mark.parametrize("space", [SpaceSpec(1.5, 3), SpaceSpec(1.0, 3, COMPLEX)])
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 1, 1), (2, 2), (3,)])
+def test_mixed_norm_given_the_poly_estimate_is_unchanged(pattern, space):
+    form = random_form(np.random.default_rng(67), sum(pattern), 3, space.field)
+    cfg = OptimizerConfig(restarts=4, seed=2)
+    poly = poly_norm(form, space, cfg)
+    alone = mixed_norm(form, space, pattern, cfg)
+    assert mixed_norm(form, space, pattern, cfg, poly=poly).to_dict() == alone.to_dict()
