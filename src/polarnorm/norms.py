@@ -22,16 +22,20 @@ All starts of one estimate ascend in lockstep as one (S, n, d) array.
 Every move of a sweep is one batched kernel call over the starts still
 iterating.  Backtracking is one loop over halving ladders, one call per
 round: the first round tries every start's own step, each later round the
-next max(1, S // pending) halvings of every start still pending, and each
-start takes the largest step that improves.  Each start keeps its own
-step sizes and leaves the batch when it converges, so it accepts the same
-candidates it would accept alone, halving one step at a time.  The best
-start is the first of the highest values, in start order.  The ell_p
-geometry below acts row-wise on the last axis for the same reason.
+next max(1, 4 S // pending) halvings of every start still pending, so a
+call evaluates at most 4 S tuples, and each start takes the largest step
+that improves.  Each start keeps its own step sizes and leaves the batch
+when it converges, so it accepts the same candidates it would accept
+alone, halving one step at a time.  The best start is the first of the
+highest values, in start order.  The ell_p geometry below acts row-wise on
+the last axis for the same reason.  The seeded restart tuples and the
+sign-pattern candidates depend only on their key, not on the form, so
+each is built once and cached read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -56,6 +60,12 @@ from .forms import (
 from . import bounds as bounds_mod
 
 _MIN_STEP = 1e-18
+# later halving rounds evaluate up to _LADDER_FILL * S tuples per call.  On
+# a 2-vCPU Xeon, verify-c21-l1 made 1.09x, 1.14x and 1.17x the reports per
+# kcal of a fill of 1 at fills of 2, 4 and 8 (two 20 s runs each), and
+# estimate-nonattaining-49 peaked at 41.1 MB at 4, 41.7 MB at 8 and 47.8 MB
+# with whole ladders in one round, against 41.2 MB before
+_LADDER_FILL = 4
 _MAX_STEP = 4.0
 _CANDIDATE_CAP = 20_000
 _TOP_CANDIDATE_STARTS = 8
@@ -74,10 +84,12 @@ class OptimizerConfig:
     """Multi-start ascent settings.
 
     Each restart draws from an independent substream derived from
-    (seed, restart index).  All starts of one estimate ascend together in
-    lockstep, so parallel is accepted for compatibility and has no effect
-    on what is computed or returned.  The tolerance applies to the
-    relative objective change between accepted iterates.
+    (seed, restart index).  The draws depend only on the seed, the restart
+    count, the block count and the space, so they are built once per key
+    and cached.  All starts of one estimate ascend together in lockstep,
+    so parallel is accepted for compatibility and has no effect on what is
+    computed or returned.  The tolerance applies to the relative objective
+    change between accepted iterates.
     """
 
     restarts: int = 32
@@ -220,6 +232,7 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
 # deterministic structured starts
 
 
+@functools.lru_cache(maxsize=8)
 def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     """Normalized sign-pattern candidates {-1,0,1}^d (plus phases i, -i when
     the complex set stays small), one per class of unit multiples; exact
@@ -229,17 +242,20 @@ def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     block, so of the rows c*x, c in {-1, 1} (and {i, -i} with the complex
     alphabet), only the one whose first nonzero entry is 1 is kept, in
     itertools.product order: (|A|^d - 1) / |U| rows.  The cap counts the
-    whole alphabet's rows.
+    whole alphabet's rows.  Built once per key and returned read-only.
     """
     alphabet: tuple = (-1.0, 0.0, 1.0)
     if field == COMPLEX and (5**dim - 1) <= _CANDIDATE_CAP:
         alphabet = (0.0, 1.0, -1.0, 1.0j, -1.0j)
     if len(alphabet) ** dim - 1 > _CANDIDATE_CAP:
-        return np.zeros((0, dim))
-    rows = [row for row in itertools.product(alphabet, repeat=dim)
-            if next((c for c in row if c != 0), None) == 1]
-    arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
-    return radial_normalize(arr, p)
+        cands = np.zeros((0, dim))
+    else:
+        rows = [row for row in itertools.product(alphabet, repeat=dim)
+                if next((c for c in row if c != 0), None) == 1]
+        arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
+        cands = radial_normalize(arr, p)
+    cands.flags.writeable = False
+    return cands
 
 
 def _random_unit(rng: np.random.Generator, dim: int, p: float, field: str) -> np.ndarray:
@@ -252,6 +268,25 @@ def _random_unit(rng: np.random.Generator, dim: int, p: float, field: str) -> np
 
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
+
+
+@functools.lru_cache(maxsize=8)
+def _restart_tuples(seed: int, restarts: int, n: int, dim: int, p: float,
+                    field: str) -> np.ndarray:
+    """The seeded random starts (restarts, n, d), read-only: restart i draws
+    its n unit vectors in turn from _restart_rng(seed, i).
+
+    Every estimate of one config draws the same tuples, so they are built
+    once per key; the small cache keeps a cycle of many seeds from holding
+    their draws.
+    """
+    draws = []
+    for i in range(restarts):
+        rng = _restart_rng(seed, i)
+        draws.append(np.stack([_random_unit(rng, dim, p, field) for _ in range(n)]))
+    tuples = np.stack(draws)
+    tuples.flags.writeable = False
+    return tuples
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +377,9 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
 
     The ternary tuples are the top values of the product grid of class
     representatives, so no two are unit multiples block by block; the grid
-    is scored only while it has at most _CANDIDATE_CAP tuples.
+    is scored only while it has at most _CANDIDATE_CAP tuples.  The
+    candidates and the restart tuples come from small per-key caches and
+    are read-only; the final np.stack copies them.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
@@ -363,9 +400,7 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
                 starts.extend(tuples[i] for i in order)
     for xs in extra_starts:
         starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
-    for i in range(cfg.restarts):
-        rng = _restart_rng(cfg.seed, i)
-        starts.append(np.stack([_random_unit(rng, d, p, form.field) for _ in range(n)]))
+    starts.extend(_restart_tuples(cfg.seed, cfg.restarts, n, d, p, form.field))
     return np.stack(starts)
 
 
@@ -394,9 +429,11 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     One loop walks each start's halving ladder step * 2^-k, one kernel call
     per round.  The first round tries rung 0, every start's own step; each
     later round gives every start still pending its next w rungs,
-    w = max(1, S // pending), so no call evaluates more than S tuples.  A
-    start takes its first (largest) improving rung: the step that halving
-    one at a time would accept.
+    w = max(1, _LADDER_FILL * S // pending), so no call evaluates more than
+    _LADDER_FILL * S tuples and a lone stalled start walks its whole ladder
+    in one call.  A start takes its first (largest) improving rung: the
+    step that halving one at a time would accept; the rungs past it are
+    evaluated and unused.
     """
     raw, grads = _value_grads(form, pat, xs[act])
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
@@ -425,8 +462,9 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
         accepted[won] = True
         pending = pending[~accepted[pending] & (0.5 * ladder[:, -1] >= _MIN_STEP)]
         # rungs count halvings of the entry step; pending never outnumbers the
-        # S starts, so S // pending >= 1 (the max guards the loop's end)
-        rungs = rungs[-1] + np.arange(1, len(xs) // max(1, len(pending)) + 1)
+        # S starts, so each gets at least _LADDER_FILL rungs (the max guards
+        # the loop's end)
+        rungs = rungs[-1] + np.arange(1, _LADDER_FILL * len(xs) // max(1, len(pending)) + 1)
     # a stalled block may become movable again once the others shift, so
     # failure resets the step instead of pinning it
     steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarnorm.cli import main, verify_samples, _parse_p, _parse_pattern, UsageError
 from polarnorm.forms import SpaceSpec, zero_form, random_form
@@ -382,3 +384,27 @@ def test_json_uses_string_inf(capsys):
     )
     assert code == 0
     assert json.loads(out)["config"]["p"] == "inf"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["1", "1.000000001", "1.5", "2", "3", "1e6", "inf"]),
+    st.sampled_from(["real", "complex"]),
+    st.sampled_from(["3", "2,1", "1,1,1"]),
+)
+def test_verify_and_estimate_at_edge_p_exit_cleanly(p, field, pattern):
+    # main is run in-process, so an uncaught exception fails the test itself
+    commands = [
+        ["verify", "--pattern", pattern, "--field", field, "--p", p, "--d", "3",
+         "--samples", "2", "--restarts", "4"],
+        ["estimate", "--extremal", "product", "--pattern", pattern, "--field", field,
+         "--p", p, "--restarts", "4"],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", "json"])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code != 2:
+            assert json.loads(out.getvalue())["pass"] is (code == 0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polarnorm.forms import (
     COMPLEX,
@@ -380,6 +380,53 @@ def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
     assert (same == np.eye(len(ternary), dtype=bool)).all()
 
 
+def _clear_start_caches():
+    norms._restart_tuples.cache_clear()
+    norms._ternary_candidates.cache_clear()
+
+
+def test_verify_draws_each_restart_once_per_block_count(monkeypatch):
+    # all forms of one verify share the config, so the poly estimates (n = 1)
+    # and the mixed estimates (n = 2) each draw the restarts once
+    from polarnorm.cli import verify_samples
+
+    _clear_start_caches()
+    calls = []
+    original = norms._restart_rng
+    monkeypatch.setattr(norms, "_restart_rng", lambda *a: calls.append(a) or original(*a))
+    rng = np.random.default_rng(3)
+    forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(5)]
+    cfg = OptimizerConfig(restarts=8, seed=3)
+    verify_samples(forms, SpaceSpec(1.0, 3, COMPLEX), (2, 1), cfg, 5e-3)
+    assert len(calls) == cfg.restarts * 2
+
+
+@pytest.mark.parametrize("field,p", [(COMPLEX, 1.0), (REAL, math.inf), (REAL, 1.5)])
+def test_starts_are_the_same_from_a_cold_and_a_warm_cache(field, p):
+    form = random_form(np.random.default_rng(5), 3, 3, field)
+    space, pat = SpaceSpec(p, 3, field), as_pattern((2, 1))
+    cfg = OptimizerConfig(restarts=6, seed=9)
+    _clear_start_caches()
+    cold = _starts(form, space, pat, cfg, (), None)
+    warm = _starts(form, space, pat, cfg, (), None)
+    assert np.array_equal(cold, warm) and cold.flags.writeable
+    # the restarts, last, are the draws of one generator per restart
+    serial = []
+    for i in range(cfg.restarts):
+        rng = norms._restart_rng(cfg.seed, i)
+        serial.append(np.stack([norms._random_unit(rng, 3, p, field) for _ in range(pat.n)]))
+    assert np.array_equal(cold[-cfg.restarts:], np.stack(serial))
+
+
+def test_cached_start_material_is_read_only():
+    draws = norms._restart_tuples(0, 4, 2, 3, 1.0, COMPLEX)
+    cands = _ternary_candidates(3, 1.0, COMPLEX)
+    with pytest.raises(ValueError):
+        draws[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cands[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # determinism and structure
 
@@ -434,6 +481,61 @@ def test_homogeneity_general_scale(seed, c):
     base = poly_norm(f, sp, cfg)
     scaled = poly_norm(f.scaled(c), sp, cfg)
     assert scaled.value == pytest.approx(c * base.value, rel=1e-9)
+
+
+EDGE_P = [1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 1e6, math.inf]
+
+
+def _scaled_norm_and_scaled_estimate(p, field, pattern, c, seed):
+    """(estimate of ||cP||, |c| * estimate of ||P||) for a random form P."""
+    f = random_form(np.random.default_rng(seed), sum(pattern), 3, field)
+    sp = SpaceSpec(p, 3, field)
+    cfg = OptimizerConfig(restarts=4, seed=seed)
+    base = mixed_norm(f, sp, pattern, cfg)
+    return mixed_norm(f.scaled(c), sp, pattern, cfg).value, abs(c) * base.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(EDGE_P),
+    st.sampled_from([REAL, COMPLEX]),
+    st.sampled_from([(3,), (2, 1), (1, 1, 1)]),
+    st.integers(-8, 8),
+    st.integers(0, 2**16),
+)
+def test_mixed_norm_scales_exactly_by_powers_of_two(p, field, pattern, k, seed):
+    # scaling by 2^k is exact, so every comparison of the ascent is the same
+    scaled, expected = _scaled_norm_and_scaled_estimate(p, field, pattern, 2.0**k, seed)
+    assert scaled == expected
+
+
+# Derandomized: a random search meets the stall below about once in 1300
+# cases, so it would fail by chance rather than by a change.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(EDGE_P),
+    st.sampled_from([REAL, COMPLEX]),
+    st.sampled_from([(3,), (2, 1), (1, 1, 1)]),
+    st.sampled_from([-1.0, 1.0j, -4.0j]),
+    st.integers(0, 2**16),
+)
+def test_mixed_norm_is_absolutely_homogeneous(p, field, pattern, c, seed):
+    # a unit or imaginary scale rounds the coefficients differently, so the
+    # values agree to rounding; an imaginary multiple of a real form is a
+    # complex form, whose space is another one
+    assume(field == COMPLEX or c.imag == 0.0)
+    scaled, expected = _scaled_norm_and_scaled_estimate(p, field, pattern, c, seed)
+    assert scaled == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="at 1 < p < inf, p != 2, a start can stall where the "
+                   "gradient step is no ascent step, and rounding decides whether it does")
+@pytest.mark.parametrize("c", [1.0j, -4.0j])
+def test_mixed_norm_homogeneity_where_a_start_stalls(c):
+    # the diagonal start stalls at 1.1148512 unscaled and reaches 1.1148521
+    # scaled, 7.9e-7 relative higher; no tolerance or sweep budget changes it
+    scaled, expected = _scaled_norm_and_scaled_estimate(1.5, COMPLEX, (2, 1), c, 33077)
+    assert scaled == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -547,19 +649,19 @@ def test_halving_ladder_exhausts_a_stationary_start_in_few_calls(monkeypatch):
     _gradient_moves(f, 2.0, pat, 0, xs, vals, steps, np.arange(32), 0.5)
     assert vals[0] == before[0] and steps[0, 0] == 0.5
     assert (vals[1:] > before[1:]).all()
-    # one round for all 32 starts, then ladders of up to 32 halvings, which
-    # try each halving of 0.5 down to _MIN_STEP once: 58 of them, one call
-    # each when halving one at a time
+    # one round for all 32 starts, then the lone pending start's ladder of
+    # up to 4 * 32 halvings, which tries each halving of 0.5 down to
+    # _MIN_STEP once: 58 of them, one call each when halving one at a time
     halvings = sum(0.5 * 2.0**-k >= _MIN_STEP for k in range(1, 100))
-    assert len(calls) <= 3
+    assert len(calls) == 2
     assert calls[0] == 32 and sum(calls[1:]) == halvings
-    assert max(calls) <= 32
+    assert max(calls) <= 4 * 32
 
 
 def test_first_backtracking_round_tries_one_step_per_moving_start(monkeypatch):
     # P = x_1^3 + x_2^2 x_3/2 has zero gradient at e_3, so of the 4 iterating
     # starts (of 32) only the 3 others move; the first round must try exactly
-    # one step for each of them, not a ladder of S // pending halvings
+    # one step for each of them, not a ladder of later-round halvings
     f = make_form(3, 3, REAL, [((3, 0, 0), 1.0), ((0, 2, 1), 0.5)])
     pat = as_pattern(3)
     rng = np.random.default_rng(5)
