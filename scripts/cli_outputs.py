@@ -29,6 +29,8 @@ COMMANDS = [
     "verify --pattern 2,1 --field real --p 1.5 --samples 20 --seed 4",
     "verify --pattern 2,1 --field complex --p 3 --samples 20 --seed 4",
     "verify --pattern 2,2 --field complex --p 1 --d 3 --samples 10 --seed 6",
+    "estimate --extremal nonattaining --n 49",
+    "verify --pattern 1,1 --field complex --p 3 --samples 10 --seed 5",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -8,9 +8,12 @@ pure and operate on immutable form objects.
 
 Only this module knows how monomials are stored: each form compiles once
 into a table holding, per monomial, the flat indices e*d + i of its
-r <= min(m, d) nonzero exponents e, ascending in the coordinate i and padded
-with x_0^0.  Values, gradients (one exponent lowered) and coordinate
-polynomials multiply the gathered entries of one power table x_i^e, 0 <= e <= m.
+nonzero exponents e, ascending in the coordinate i and padded with x_0^0 to
+the widest support of any monomial of the form, so a diagonal form gathers
+one power per monomial.  Values, gradients (one exponent lowered) and
+coordinate polynomials multiply the gathered entries of one power table
+x_i^e, 0 <= e <= m.  A padding factor 1.0 changes no bit of a real product;
+of a complex one it can change only the sign of a zero part.
 """
 
 from __future__ import annotations
@@ -186,10 +189,11 @@ class SymmetricForm:
 
     @cached_property
     def _table(self):
-        """Monomial rows (C, r), plus gradient rows with one exponent e at
-        coordinate i lowered, their weights a_alpha * e and 0/1 scatter to i."""
+        """Monomial rows (C, r), r the widest support of a monomial, plus
+        gradient rows with one exponent e at coordinate i lowered, their
+        weights a_alpha * e and 0/1 scatter to i."""
         E = self._exponents
-        r = min(self.degree, self.dim)
+        r = int((E > 0).sum(axis=1).max(initial=0))
         # a stable sort of the zero flags puts the support first, in coordinate order
         coords = np.argsort(E == 0, axis=1, kind="stable")[:, :r]
         exps = np.take_along_axis(E, coords, axis=1)
@@ -373,15 +377,19 @@ def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: 
 
 
 def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray):
-    """Unchecked core of eval_mixed_grad: values (T,) and block gradients
-    (T, n, d) for argument tuples (T, n, d)."""
+    """Unchecked core of eval_mixed_grad: values (T,), their moduli (T,) and
+    block gradients (T, n, d) for argument tuples (T, n, d).
+
+    The moduli have the bits of _mixed_values(..., modulus=True) on the same
+    batch, since both kernels give a batch's point values bit for bit alike.
+    """
     mult, weights = _block_table(multiplicities)
     points = (mult @ tuples).reshape(-1, form.dim)
     vals, grads = form.eval_grad_batch(points)
     scale = _polar_scale(sum(multiplicities))
-    values = (vals.reshape(tuples.shape[0], -1) @ weights) * scale
+    sums = vals.reshape(tuples.shape[0], -1) @ weights
     block_grads = (weights[:, None] * mult).T @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
-    return values, block_grads
+    return sums * scale, np.abs(sums) * scale, block_grads
 
 
 def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
@@ -446,7 +454,7 @@ def eval_mixed_grad(form: SymmetricForm, pattern, vectors: Sequence):
     mixed value in the j-th block argument; shape (n, d).  Degrees above
     POLARIZE_DEGREE_CAP are refused, as in eval_mixed.
     """
-    values, grads = _mixed_value_grad(
+    values, _, grads = _mixed_value_grad(
         form, *_mixed_arguments(form, pattern, vectors, POLARIZE_DEGREE_CAP))
     return values[0], grads[0]
 

@@ -19,18 +19,23 @@ Each sweep moves every block in turn, holding the others fixed:
   for p = 1, modulus clipping for complex p = infinity.
 
 All starts of one estimate ascend in lockstep as one (S, n, d) array.
-Every move of a sweep is one batched kernel call over the starts still
-iterating.  Backtracking is one loop over halving ladders, one call per
-round: the first round tries every start's own step, each later round the
-next max(1, 4 S // pending) halvings of every start still pending, so a
-call evaluates at most 4 S tuples, and each start takes the largest step
+Every move of a sweep is at most one batched kernel call over the starts
+still iterating.  Backtracking is one loop over halving ladders, one call
+per round: the first round tries every start's own step, each later round
+the next max(1, 4 S // pending) halvings of every start still pending, so
+a call evaluates at most 4 S tuples, and each start takes the largest step
 that improves.  Each start keeps its own step sizes and leaves the batch
 when it converges, so it accepts the same candidates it would accept
-alone, halving one step at a time.  The best start is the first of the
-highest values, in start order.  The ell_p geometry below acts row-wise on
-the last axis for the same reason.  The seeded restart tuples and the
-sign-pattern candidates depend only on their key, not on the form, so
-each is built once and cached read-only.
+alone, halving one step at a time.  A move whose batch, the tuples of the
+starts still iterating, was already evaluated (values, moduli and
+gradients in one kernel call) uses that evaluation instead of calling
+again.  It is reused only for the identical batch, the same rows in the
+same order, never for a subset, because the kernel's values depend on how
+a batch is composed.  The best start is the first of the highest values,
+in start order.  The ell_p geometry below acts row-wise on the last axis
+for the same reason.  The seeded restart tuples and the sign-pattern
+candidates depend only on their key, not on the form, so each is built
+once and cached read-only.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ class OptimizerConfig:
     and cached.  All starts of one estimate ascend together in lockstep,
     so parallel is accepted for compatibility and has no effect on what is
     computed or returned.  The tolerance applies to the relative objective
-    change between accepted iterates.
+    change between accepted iterates.  tol and init_step must be positive,
+    init_step finite, and max_iter at least 0; NormError otherwise.
     """
 
     restarts: int = 32
@@ -103,8 +109,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise NormError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0:
+        if self.max_iter < 0:
+            raise NormError(f"max_iter must be >= 0, got {self.max_iter}")
+        # NaN fails these comparisons: a NaN tol never converges a start, and
+        # a NaN step never ascends
+        if not self.tol > 0:
             raise NormError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.init_step < math.inf:
+            raise NormError(f"init_step must be positive and finite, got {self.init_step}")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -211,9 +223,13 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     the conjugate phase.  Ties at p = 1 break to the lowest index; the zero
     functional returns e_1.
     """
-    e1 = np.eye(1, dim, dtype=phi.dtype)[0]
-    phi = np.where(np.abs(phi).any(axis=-1, keepdims=True), phi, e1)
     moduli = np.abs(phi)
+    top = moduli.max(axis=-1, keepdims=True)
+    zero = top == 0.0
+    if zero.any():
+        e1 = np.eye(1, dim)[0]
+        phi, moduli = np.where(zero, e1, phi), np.where(zero, e1, moduli)
+        top = np.where(zero, 1.0, top)
     if np.iscomplexobj(phi):
         phases = np.where(moduli > 0, np.conj(phi) / np.where(moduli > 0, moduli, 1.0), 0.0)
     else:
@@ -224,7 +240,6 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     if math.isinf(p):
         return phases
     # scaled like lp_norm: near p = 1 the power p' - 1 is huge
-    top = moduli.max(axis=-1, keepdims=True)
     return radial_normalize(phases * (moduli / top) ** (conjugate_exponent(p) - 1.0), p)
 
 
@@ -304,10 +319,12 @@ def _values(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray
 
 
 def _value_grads(form: SymmetricForm, pat: Pattern, tuples: np.ndarray):
-    """Signed values (T,) and block gradients (T, n, d) at argument tuples."""
+    """One evaluation of argument tuples (T, n, d): signed values (T,), their
+    moduli (T,) with the bits _values gives the same batch, and block
+    gradients (T, n, d)."""
     if pat.n == 1:
         vals, grads = form.eval_grad_batch(tuples[:, 0, :])
-        return vals, grads[:, None, :]
+        return vals, np.abs(vals), grads[:, None, :]
     return _mixed_value_grad(form, pat.multiplicities, tuples)
 
 
@@ -422,7 +439,7 @@ def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
 
 
 def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
-                    init_step: float) -> None:
+                    init_step: float, evaluation=None, graded: bool = False):
     """One projected gradient step with backtracking on block j, for the
     starts act.  Updates xs (S, n, d), vals (S,) and steps (S, n) in place.
 
@@ -434,14 +451,23 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     in one call.  A start takes its first (largest) improving rung: the
     step that halving one at a time would accept; the rungs past it are
     evaluated and unused.
+
+    evaluation, when given, is _value_grads of this very batch xs[act].
+    Returns (whole, evaluation): whole when the first round tried and
+    improved every start of act, so the ladder ended there and its batch is
+    the new xs[act], row for row.  With graded, such a first round is
+    evaluated with gradients, and that evaluation is returned when whole;
+    otherwise None.
     """
-    raw, grads = _value_grads(form, pat, xs[act])
+    raw, _, grads = _value_grads(form, pat, xs[act]) if evaluation is None else evaluation
+    carried = None
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
     rows, dirn = act[gnorm > 0], dirn[gnorm > 0]
     step = steps[rows, j]
     accepted = np.zeros(len(rows), dtype=bool)
     pending = np.flatnonzero(step >= _MIN_STEP)
     rungs = np.arange(1)
+    whole = False
     while len(pending):
         # ldexp halves exactly: rung k has the bits of k successive halvings
         ladder = np.ldexp(step[pending, None], -rungs)
@@ -450,12 +476,18 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
         tried = rows[idx]
         cand = xs[tried]
         cand[:, j] = _sphere_move(cand[:, j] + trial[:, None] * dirn[idx], p)
-        cvals = _values(form, pat, cand)
+        if graded and rungs[-1] == 0 and len(tried) == len(act):
+            carried = _value_grads(form, pat, cand)
+            cvals = carried[1]
+        else:
+            cvals = _values(form, pat, cand)
         # idx ascends and, within a start, trial descends: the first improving
         # candidate of each start is its largest improving step
         up = np.flatnonzero(cvals > vals[tried])
         first = up[idx[up] != np.append(-1, idx[up][:-1])]
         won = idx[first]
+        if rungs[-1] == 0:
+            whole = len(won) == len(act)
         xs[rows[won]] = cand[first]
         vals[rows[won]] = cvals[first]
         step[won] = trial[first]
@@ -468,23 +500,37 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     # a stalled block may become movable again once the others shift, so
     # failure resets the step instead of pinning it
     steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)
+    return whole, carried if whole else None
 
 
 def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig):
     """Cyclic block moves from every start xs0 (S, n, d) in lockstep:
     (values (S,), xs (S, n, d), converged (S,)).
 
-    The starts still iterating (act) make each move together, one kernel
-    call per move; every start keeps its own step sizes and leaves when it
-    converges, so it follows the path it would follow alone.
+    The starts still iterating (act) make each move together, at most one
+    kernel call per move; every start keeps its own step sizes and leaves
+    when it converges, so it follows the path it would follow alone.
+
+    The last evaluation of xs[act] (_value_grads) is carried into the next
+    move while no row of xs[act] moves and act stays the same, and never to
+    a subset: the kernel's values depend on how a batch is composed.  Two
+    evaluations are made with gradients in advance, because the batch they
+    evaluate usually becomes the next xs[act]: the end-of-sweep values after
+    a sweep that kept every start, when the first move reads gradients, and
+    a ladder's first round after that block's last ladder ended in one
+    round that improved every start.
     """
     S, n, d = xs0.shape
     xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
-    vals = _values(form, pat, xs)
+    real_sup = form.field == REAL and math.isinf(p)
+    reads_grads = pat.multiplicities[0] == 1 or not real_sup
+    carried = _value_grads(form, pat, xs) if reads_grads else None
+    vals = carried[1].copy() if reads_grads else _values(form, pat, xs)
     steps = np.full((S, n), cfg.init_step)
+    whole = np.zeros(n, dtype=bool)
     converged = np.zeros(S, dtype=bool)
     act = np.arange(S)
-    real_sup = form.field == REAL and math.isinf(p)
+    kept_all = True
     for _ in range(cfg.max_iter):
         before = vals[act]
         # after a linear move the values are evaluated only once a later
@@ -492,24 +538,34 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
         stale = False
         for j, k_j in enumerate(pat.multiplicities):
             if k_j == 1:
-                _, grads = _value_grads(form, pat, xs[act])
-                xs[act, j] = dual_align(grads[:, j], p, d)
-                stale = True
-                continue
-            if stale:
-                vals[act] = _values(form, pat, xs[act])
-                stale = False
-            if real_sup:
+                if carried is None:
+                    carried = _value_grads(form, pat, xs[act])
+                xs[act, j] = dual_align(carried[2][:, j], p, d)
+                carried, stale = None, True
+            elif real_sup:
+                if stale:
+                    vals[act] = _values(form, pat, xs[act])
+                    stale = False
                 _coordinate_moves(form, pat, j, xs, vals, act)
             else:
-                _gradient_moves(form, p, pat, j, xs, vals, steps, act, cfg.init_step)
-        if stale:
+                if stale:
+                    carried = _value_grads(form, pat, xs[act])
+                    vals[act] = carried[1]
+                    stale = False
+                whole[j], carried = _gradient_moves(form, p, pat, j, xs, vals, steps, act,
+                                                    cfg.init_step, carried, whole[j])
+        if stale and kept_all and reads_grads:
+            carried = _value_grads(form, pat, xs[act])
+            vals[act] = carried[1]
+        elif stale:
             vals[act] = _values(form, pat, xs[act])
         done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
         converged[act[done]] = True
-        act = act[~done]
-        if not len(act):
-            break
+        kept_all = not done.any()
+        if not kept_all:
+            act, carried = act[~done], None
+            if not len(act):
+                break
     return vals, xs, converged
 
 

@@ -340,6 +340,80 @@ def test_eval_grad_batch_mixed_supports_exact():
     np.testing.assert_array_equal(grads, expected)
 
 
+def test_table_compiles_rows_to_the_widest_support():
+    from polarnorm.extremals import nonattaining_bilinear, real44_form
+
+    assert nonattaining_bilinear(5).form._table[0].shape[1] == 1
+    assert real44_form().form._table[0].shape[1] == 2
+    assert make_form(3, 4, REAL, MIXED_SUPPORT)._table[0].shape[1] == 3
+    rng = np.random.default_rng(41)
+    for m, d in ((1, 4), (2, 3), (3, 5), (4, 2), (5, 5)):
+        assert random_form(rng, m, d)._table[0].shape[1] == min(m, d)
+
+
+def _padded_eval_grad(form, points):
+    """eval_grad_batch from rows padded with x_0^0 to min(m, d) factors, the
+    width every table had before tables took the widest support."""
+    E, d = form._exponents, form.dim
+    r = min(form.degree, d)
+    coords = np.argsort(E == 0, axis=1, kind="stable")[:, :r]
+    exps = np.take_along_axis(E, coords, axis=1)
+    support = exps > 0
+    rows = np.where(support, exps * d + coords, 0)
+    grad_rows = (rows[:, None, :] - d * np.eye(r, dtype=np.int64))[support]
+    grad_weights = (form._values[:, None] * exps)[support]
+    scatter = np.zeros((len(grad_rows), d))
+    scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
+    monomials, lowered = form._products(points, rows, grad_rows)
+    return monomials @ form._values, (lowered * grad_weights[None, :]) @ scatter
+
+
+def _narrow_forms(field, count, rng):
+    """Random sparse forms whose monomials have at most w < min(m, d) factors."""
+    forms = []
+    while len(forms) < count:
+        m, d = rng.integers(2, 6, size=2)
+        w = rng.integers(1, min(m, d))
+        entries = {}
+        for _ in range(rng.integers(1, 8)):
+            exps = np.zeros(d, dtype=int)
+            coords = rng.choice(d, size=w, replace=False)
+            exps[coords] = 1
+            np.add.at(exps, rng.choice(coords, size=m - w), 1)
+            value = rng.standard_normal() if field == REAL else complex(*rng.standard_normal(2))
+            entries[tuple(exps)] = value
+        forms.append(make_form(int(m), int(d), field, entries.items()))
+    return forms
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_narrow_tables_evaluate_with_the_bits_of_padded_ones(field):
+    # a padding factor x_0^0 = 1.0 changes no bit of a value, the sign of
+    # zero included.  A complex product with 1 + 0j can turn a -0 part of an
+    # exact zero into +0, so a complex gradient entry that is exactly zero
+    # may carry either sign; every other entry keeps its bits.
+    rng = np.random.default_rng(43)
+    forms = _narrow_forms(field, 100, rng) + _kernel_forms()
+    for form in forms:
+        pts = rng.standard_normal((12, form.dim))
+        if field == COMPLEX:
+            pts = pts + 1j * rng.standard_normal((12, form.dim))
+        pts[rng.random(pts.shape) < 0.3] = 0.0
+        pts[rng.random(pts.shape) < 0.2] = -0.0
+        if field == COMPLEX:
+            pts[rng.random(pts.shape) < 0.2] = complex(-0.0, -1.0)
+        pts[-1] = -0.0
+        vals, grads = form.eval_grad_batch(pts)
+        ref_vals, ref_grads = _padded_eval_grad(form, pts)
+        nonzero = ref_grads != 0 if field == COMPLEX else np.ones(ref_grads.shape, dtype=bool)
+        for got, ref in ((vals, ref_vals), (form.eval_batch(pts), ref_vals),
+                         (grads[nonzero], ref_grads[nonzero])):
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got.real), np.signbit(ref.real))
+            np.testing.assert_array_equal(np.signbit(np.imag(got)), np.signbit(np.imag(ref)))
+        np.testing.assert_array_equal(grads, ref_grads)
+
+
 @pytest.mark.parametrize("pattern", [(3,), (2, 2)])
 def test_coordinate_coeffs_reproduce_the_mixed_value(pattern):
     rng = np.random.default_rng(37)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from polarnorm.forms import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    SymmetricForm,
+    _mixed_values,
     as_pattern,
     conjugate_exponent,
     eval_mixed,
@@ -25,6 +28,7 @@ from polarnorm.norms import (
     _ascent_direction,
     _block_ascent,
     _clip_linf,
+    _coordinate_moves,
     _gradient_moves,
     _sphere_move,
     _starts,
@@ -558,7 +562,7 @@ def _serial_gradient_moves(form, p, pat, j, xs, vals, steps, init_step):
     """Oracle of the halving ladder: one start at a time, one halving per
     _values call, accepting the first step that improves."""
     for s in range(len(xs)):
-        raw, grads = _value_grads(form, pat, xs[s:s + 1])
+        raw, _, grads = _value_grads(form, pat, xs[s:s + 1])
         dirn, gnorm = _ascent_direction(raw, grads[:, j])
         if gnorm[0] == 0:
             continue
@@ -671,7 +675,7 @@ def test_first_backtracking_round_tries_one_step_per_moving_start(monkeypatch):
     steps = np.full((32, 1), 0.5)
     act = np.array([2, 9, 17, 30])
     moving = np.array([2, 17, 30])
-    raw, grads = _value_grads(f, pat, xs[moving])
+    raw, _, grads = _value_grads(f, pat, xs[moving])
     dirn, _ = _ascent_direction(raw, grads[:, 0])
     expected = _sphere_move(xs[moving, 0] + 0.5 * dirn, 2.0)
     calls = []
@@ -788,3 +792,172 @@ def test_mixed_norm_given_the_poly_estimate_is_unchanged(pattern, space):
     poly = poly_norm(form, space, cfg)
     alone = mixed_norm(form, space, pattern, cfg)
     assert mixed_norm(form, space, pattern, cfg, poly=poly).to_dict() == alone.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# settings and carried evaluations
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
+    {"init_step": math.nan}, {"init_step": 0.0}, {"init_step": -0.5}, {"init_step": math.inf},
+    {"max_iter": -1},
+])
+def test_optimizer_config_rejects_settings_that_make_no_ascent(setting):
+    # a NaN tol converged no start; a NaN, zero or negative init_step made no
+    # move (a real cubic at p = 1.5 stayed at 1.3040 against 1.3131), and an
+    # infinite one never ended its halving ladder
+    with pytest.raises(NormError):
+        OptimizerConfig(**setting)
+
+
+def test_optimizer_config_accepts_zero_sweeps():
+    form = random_form(np.random.default_rng(0), 3, 3)
+    est = poly_norm(form, SpaceSpec(1.5, 3), OptimizerConfig(restarts=2, max_iter=0))
+    assert est.value > 0 and est.starts_converged == 0
+
+
+def _signed_bits(a):
+    """The sign bits of the real and imaginary parts of a, which tell -0 from +0."""
+    return np.signbit(np.real(a)), np.signbit(np.imag(a))
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    for x, y in zip(_signed_bits(a), _signed_bits(b)):
+        np.testing.assert_array_equal(x, y)
+
+
+def _tuples_with_zeros(rng, count, n, d, field):
+    """Random argument tuples whose entries include +-0 and whole zero blocks,
+    so that values and gradient entries come out as signed zeros."""
+    tuples = rng.standard_normal((count, n, d))
+    if field == COMPLEX:
+        tuples = tuples + 1j * rng.standard_normal((count, n, d))
+    tuples[rng.random((count, n, d)) < 0.3] = 0.0
+    tuples[rng.random((count, n, d)) < 0.2] = -0.0
+    tuples[::5, -1] = 0.0
+    if field == COMPLEX:
+        tuples[1::7, 0] = np.array(-0.0 - 1j)
+    return tuples
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("pattern", [(2,), (3,), (2, 1), (1, 1), (1, 1, 1), (2, 2)])
+def test_an_evaluation_has_the_bits_of_a_fresh_one_on_the_same_batch(pattern, field):
+    # a carried evaluation stands in for _values and for _value_grads of the
+    # same rows in the same order; bits must not depend on which call made it
+    pat = as_pattern(pattern)
+    form = random_form(np.random.default_rng(83), pat.m, 3, field)
+    tuples = _tuples_with_zeros(np.random.default_rng(89), 40, pat.n, 3, field)
+    for size in range(1, 41):
+        batch = tuples[:size]
+        raw, moduli, grads = _value_grads(form, pat, batch)
+        _assert_bitwise_equal(moduli, _values(form, pat, batch))
+        if pat.n == 1:
+            signed = form.eval_batch(batch[:, 0, :])
+        else:
+            signed = _mixed_values(form, pat.multiplicities, batch)
+        _assert_bitwise_equal(raw, signed)
+        # the same rows gathered into a new array, as xs[act] gathers them
+        again = _value_grads(form, pat, tuples[np.arange(size)])
+        for fresh, carried in zip(again, (raw, moduli, grads)):
+            _assert_bitwise_equal(fresh, carried)
+
+
+def _fresh_block_ascent(form, p, pat, xs0, cfg):
+    """The block ascent with nothing carried: every move evaluates its batch."""
+    S, n, d = xs0.shape
+    xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
+    vals = _values(form, pat, xs)
+    steps = np.full((S, n), cfg.init_step)
+    converged = np.zeros(S, dtype=bool)
+    act = np.arange(S)
+    real_sup = form.field == REAL and math.isinf(p)
+    for _ in range(cfg.max_iter):
+        before = vals[act]
+        stale = False
+        for j, k_j in enumerate(pat.multiplicities):
+            if k_j == 1:
+                _, _, grads = _value_grads(form, pat, xs[act])
+                xs[act, j] = dual_align(grads[:, j], p, d)
+                stale = True
+                continue
+            if stale:
+                vals[act] = _values(form, pat, xs[act])
+                stale = False
+            if real_sup:
+                _coordinate_moves(form, pat, j, xs, vals, act)
+            else:
+                _gradient_moves(form, p, pat, j, xs, vals, steps, act, cfg.init_step)
+        if stale:
+            vals[act] = _values(form, pat, xs[act])
+        done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
+        converged[act[done]] = True
+        act = act[~done]
+        if not len(act):
+            break
+    return vals, xs, converged
+
+
+@pytest.mark.parametrize("field,p", [(REAL, 1.0), (REAL, 1.5), (REAL, math.inf),
+                                     (COMPLEX, 1.0), (COMPLEX, 3.0), (COMPLEX, math.inf)])
+@pytest.mark.parametrize("pattern", [(2,), (3,), (2, 1), (1, 2), (1, 1), (1, 1, 1), (2, 2)])
+def test_carried_evaluations_leave_every_step_of_the_ascent_as_it_was(pattern, p, field):
+    pat = as_pattern(pattern)
+    form = random_form(np.random.default_rng(97), pat.m, 3, field)
+    cfg = OptimizerConfig(restarts=36, seed=4)
+    starts = _starts(form, SpaceSpec(p, 3, field), pat, cfg, (), None)
+    for size in (1, 2, 9, 40):
+        got = _block_ascent(form, p, pat, starts[:size], cfg)
+        expected = _fresh_block_ascent(form, p, pat, starts[:size], cfg)
+        for a, b in zip(got, expected):
+            _assert_bitwise_equal(a, b)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = {"eval_batch": 0, "eval_grad_batch": 0}
+    for name in calls:
+        original = getattr(SymmetricForm, name)
+
+        def counted(self, points, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, points)
+
+        monkeypatch.setattr(SymmetricForm, name, counted)
+    return calls
+
+
+def test_nonattaining_instance_evaluates_values_alone_rarely(monkeypatch):
+    from polarnorm.extremals import nonattaining_bilinear, verify_instance
+
+    calls = _count_kernel_calls(monkeypatch)
+    verify_instance(nonattaining_bilinear(9))
+    # evaluating every move's batch afresh takes 985 eval_batch and 1452
+    # eval_grad_batch calls here, nearly one per sweep for a batch the last
+    # move had seen; carrying evaluations takes 36 and 1483
+    assert calls["eval_batch"] <= 40
+    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 1530
+
+
+@pytest.mark.parametrize("pattern,per_sweep", [((1, 1), 2), ((2,), 1)])
+def test_a_steady_sweep_evaluates_each_new_batch_once(monkeypatch, pattern, per_sweep):
+    # on the non-attaining instance the alternating and the gradient ascent
+    # approach the top weight slowly, so no start converges in 30 sweeps and
+    # every ladder accepts its first step: a (1, 1) sweep evaluates the two
+    # tuples it makes, a (2,) sweep the one
+    from polarnorm.extremals import nonattaining_bilinear
+
+    inst = nonattaining_bilinear(9)
+    pat = as_pattern(pattern)
+    cfg = OptimizerConfig(restarts=8, seed=1, structured_starts=False)
+    starts = _starts(inst.form, inst.space, pat, cfg, (), None)
+    calls = _count_kernel_calls(monkeypatch)
+    totals = []
+    for sweeps in (20, 30):
+        _, _, converged = _block_ascent(inst.form, 2.0, pat, starts, replace(cfg, max_iter=sweeps))
+        assert not converged.any()
+        totals.append(calls["eval_batch"] + calls["eval_grad_batch"])
+        calls.update(eval_batch=0, eval_grad_batch=0)
+    assert totals[1] - totals[0] == 10 * per_sweep
