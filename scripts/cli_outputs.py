@@ -31,6 +31,7 @@ COMMANDS = [
     "verify --pattern 2,2 --field complex --p 1 --d 3 --samples 10 --seed 6",
     "estimate --extremal nonattaining --n 49",
     "verify --pattern 1,1 --field complex --p 3 --samples 10 --seed 5",
+    "estimate --extremal nonattaining --n 99",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"

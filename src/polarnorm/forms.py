@@ -14,6 +14,14 @@ one power per monomial.  Values, gradients (one exponent lowered) and
 coordinate polynomials multiply the gathered entries of one power table
 x_i^e, 0 <= e <= m.  A padding factor 1.0 changes no bit of a real product;
 of a complex one it can change only the sign of a zero part.
+
+A table of width 1 holds pure powers x_i^m only, as a diagonal form does,
+so each coordinate has at most one gradient row.  At real points each
+monomial is then its one gathered power, and a real form gathers its
+gradient rows straight into coordinate order instead of scattering them
+by a dense 0/1 matmul, with the same bits.  Complex arithmetic keeps the
+products and the matmul, whose signs of zero parts a shortcut would not
+reproduce.
 """
 
 from __future__ import annotations
@@ -191,7 +199,13 @@ class SymmetricForm:
     def _table(self):
         """Monomial rows (C, r), r the widest support of a monomial, plus
         gradient rows with one exponent e at coordinate i lowered, their
-        weights a_alpha * e and 0/1 scatter to i."""
+        weights a_alpha * e and 0/1 scatter to i, and the placement.
+
+        At width 1 every monomial is a pure power x_i^m, so no two gradient
+        rows share a coordinate.  The placement of a real form of width 1 is
+        then, per coordinate, its gradient row (d, 1) and weight (d,), with
+        x_0^0 and weight 0 for a coordinate that has none; None otherwise.
+        """
         E = self._exponents
         r = int((E > 0).sum(axis=1).max(initial=0))
         # a stable sort of the zero flags puts the support first, in coordinate order
@@ -203,7 +217,14 @@ class SymmetricForm:
         grad_weights = (self._values[:, None] * exps)[support]
         scatter = np.zeros((len(grad_rows), self.dim))
         scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
-        return rows, grad_rows, grad_weights, scatter
+        placed = None
+        if r == 1 and self.field == REAL:
+            place_rows = np.zeros((self.dim, 1), dtype=np.int64)
+            place_weights = np.zeros(self.dim)
+            place_rows[coords[support]] = grad_rows
+            place_weights[coords[support]] = grad_weights
+            placed = place_rows, place_weights
+        return rows, grad_rows, grad_weights, scatter, placed
 
     # -- evaluation --------------------------------------------------------
 
@@ -214,15 +235,27 @@ class SymmetricForm:
         The power table is exponent-major, (m+1, d, N), so each power, each
         gather and each product runs over N contiguous points; its entries
         come by repeated multiplication, which is far cheaper than libm pow.
+
+        For real points 1.0 * x is x, so x_i^1 is a copy of the transposed
+        points, later powers multiply contiguous rows, and a table of width
+        1 gathers one power per row, which is its product.  A complex
+        multiplication by 1 + 0j can flip the sign of a zero part, so
+        complex points keep every multiplication.
         """
+        real = points.dtype.kind != "c"
         powers = np.empty((self.degree + 1, self.dim, len(points)), dtype=points.dtype)
         powers[0] = 1.0
-        for e in range(self.degree):
-            np.multiply(powers[e], points.T, out=powers[e + 1])
+        base, start = points.T, 0
+        if real:
+            powers[1] = base
+            base, start = powers[1], 1
+        for e in range(start, self.degree):
+            np.multiply(powers[e], base, out=powers[e + 1])
         powers = powers.reshape(-1, len(points))
-        gathered = [np.take(powers, rows, axis=0) for rows in tables]
+        gathered = [np.take(powers, rows[:, 0] if real and rows.shape[1] == 1 else rows, axis=0)
+                    for rows in tables]
         del powers  # freed before the products, which bounds the peak of large batches
-        return [np.multiply.reduce(g, axis=1).T for g in gathered]
+        return [(g if g.ndim == 2 else np.multiply.reduce(g, axis=1)).T for g in gathered]
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """P at each row of points, shape (N, d) -> (N,)."""
@@ -230,10 +263,27 @@ class SymmetricForm:
         return monomials @ self._values
 
     def eval_grad_batch(self, points: np.ndarray):
-        """(P(x), grad P(x)) per row; complex forms return holomorphic partials."""
-        rows, grad_rows, grad_weights, scatter = self._table
-        monomials, lowered = self._products(np.atleast_2d(points), rows, grad_rows)
-        return monomials @ self._values, (lowered * grad_weights[None, :]) @ scatter
+        """(P(x), grad P(x)) per row; complex forms return holomorphic partials.
+
+        A real form of width 1 at real points gathers its weighted gradient
+        rows through the placement, in coordinate order.  Each entry of the
+        0/1 scatter matmul is one such product plus exact zeros, so for
+        finite entries the placement has its bits once + 0.0 turns a -0 into
+        the +0 that dgemm's sum gives.  A complex result keeps the matmul:
+        zgemm can leave a -0 part in an exact zero, which no placement
+        reproduces.
+        """
+        rows, grad_rows, grad_weights, scatter, placed = self._table
+        points = np.atleast_2d(points)
+        if placed is not None and points.dtype.kind != "c":
+            monomials, lowered = self._products(points, rows, placed[0])
+            grads = np.empty(lowered.shape)
+            np.multiply(lowered, placed[1], out=grads)
+            grads += 0.0
+        else:
+            monomials, lowered = self._products(points, rows, grad_rows)
+            grads = (lowered * grad_weights[None, :]) @ scatter
+        return monomials @ self._values, grads
 
     def scaled(self, factor) -> "SymmetricForm":
         """New form with every coefficient multiplied by factor."""
@@ -322,7 +372,8 @@ def _block_table(multiplicities: tuple[int, ...]):
     Grouping the 2^m sign patterns by per-block sign sums turns the
     polarization average into prod(k_j + 1) evaluations: combo (t_1..t_n)
     carries weight prod_j C(k_j, t_j) * (-1)^(k_j - t_j) and block
-    multiplier 2 t_j - k_j.
+    multiplier 2 t_j - k_j.  Returns (mult, weights, block-gradient map
+    (weights * mult).T (n, combos)), read-only.
     """
     combos = list(itertools.product(*(range(k + 1) for k in multiplicities)))
     mult = np.array(
@@ -337,7 +388,12 @@ def _block_table(multiplicities: tuple[int, ...]):
         ],
         dtype=np.float64,
     )
-    return mult, weights
+    # a transposed view, not a contiguous copy: the matmul's rounding can
+    # depend on its operands' layout
+    grad_map = (weights[:, None] * mult).T
+    for arr in (mult, weights, grad_map):
+        arr.flags.writeable = False
+    return mult, weights, grad_map
 
 
 def _polar_scale(m: int) -> float:
@@ -370,7 +426,7 @@ def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: 
     With modulus, |L| is taken before the polarization scale is applied;
     for complex values that order is not interchangeable bit for bit.
     """
-    mult, weights = _block_table(multiplicities)
+    mult, weights, _ = _block_table(multiplicities)
     points = (mult @ tuples).reshape(-1, form.dim)
     sums = form.eval_batch(points).reshape(tuples.shape[0], -1) @ weights
     return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
@@ -383,12 +439,12 @@ def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tupl
     The moduli have the bits of _mixed_values(..., modulus=True) on the same
     batch, since both kernels give a batch's point values bit for bit alike.
     """
-    mult, weights = _block_table(multiplicities)
+    mult, weights, grad_map = _block_table(multiplicities)
     points = (mult @ tuples).reshape(-1, form.dim)
     vals, grads = form.eval_grad_batch(points)
     scale = _polar_scale(sum(multiplicities))
     sums = vals.reshape(tuples.shape[0], -1) @ weights
-    block_grads = (weights[:, None] * mult).T @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
+    block_grads = grad_map @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
     return sums * scale, np.abs(sums) * scale, block_grads
 
 

@@ -222,6 +222,12 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     Real phi: y_i = sign(phi_i) |phi_i|^{p'-1}, normalized; complex phi uses
     the conjugate phase.  Ties at p = 1 break to the lowest index; the zero
     functional returns e_1.
+
+    For 1 < p < infinity the moduli are scaled by their largest, top, as in
+    lp_norm, so w = (|phi| / top)^{p'-1} has largest entry exactly 1.0.
+    For real phi, lp_norm of sign(phi) * w would then rescale by 1.0 and
+    power the moduli w themselves, so the norm is taken from w directly:
+    the bits of radial_normalize, in one pass, with no zero row possible.
     """
     moduli = np.abs(phi)
     top = moduli.max(axis=-1, keepdims=True)
@@ -240,7 +246,10 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     if math.isinf(p):
         return phases
     # scaled like lp_norm: near p = 1 the power p' - 1 is huge
-    return radial_normalize(phases * (moduli / top) ** (conjugate_exponent(p) - 1.0), p)
+    w = (moduli / top) ** (conjugate_exponent(p) - 1.0)
+    if np.iscomplexobj(phi):
+        return radial_normalize(phases * w, p)
+    return phases * w / (w**p).sum(axis=-1, keepdims=True) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +380,8 @@ def _ascent_direction(values: np.ndarray, grads: np.ndarray):
         dirn = np.conj(grads) * np.where(values != 0, values, 1.0)[:, None]
     else:
         dirn = np.where((values >= 0)[:, None], grads, -grads)
-    norm = np.linalg.norm(dirn, axis=1)
+    # np.linalg.norm(dirn, axis=1), without its dispatch
+    norm = np.sqrt(np.add.reduce((dirn.conj() * dirn).real, axis=1))
     return dirn / np.where(norm > 0, norm, 1.0)[:, None], norm
 
 
@@ -462,7 +472,8 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     raw, _, grads = _value_grads(form, pat, xs[act]) if evaluation is None else evaluation
     carried = None
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
-    rows, dirn = act[gnorm > 0], dirn[gnorm > 0]
+    moving = gnorm > 0
+    rows, dirn = act[moving], dirn[moving]
     step = steps[rows, j]
     accepted = np.zeros(len(rows), dtype=bool)
     pending = np.flatnonzero(step >= _MIN_STEP)

@@ -414,6 +414,66 @@ def test_narrow_tables_evaluate_with_the_bits_of_padded_ones(field):
         np.testing.assert_array_equal(grads, ref_grads)
 
 
+def _dense_kernel(form, points):
+    """Values and gradients as the kernel gives them with no shortcut: powers
+    by repeated multiplication by the points, the product of every gathered
+    row, and the weighted gradient rows scattered by a dense 0/1 matmul."""
+    E, d = form._exponents, form.dim
+    r = int((E > 0).sum(axis=1).max(initial=0))
+    coords = np.argsort(E == 0, axis=1, kind="stable")[:, :r]
+    exps = np.take_along_axis(E, coords, axis=1)
+    support = exps > 0
+    rows = np.where(support, exps * d + coords, 0)
+    grad_rows = (rows[:, None, :] - d * np.eye(r, dtype=np.int64))[support]
+    grad_weights = (form._values[:, None] * exps)[support]
+    scatter = np.zeros((len(grad_rows), d))
+    scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
+    powers = np.empty((form.degree + 1, d, len(points)), dtype=points.dtype)
+    powers[0] = 1.0
+    for k in range(form.degree):
+        np.multiply(powers[k], points.T, out=powers[k + 1])
+    powers = powers.reshape(-1, len(points))
+    monomials, lowered = (np.multiply.reduce(np.take(powers, table, axis=0), axis=1).T
+                          for table in (rows, grad_rows))
+    return monomials @ form._values, (lowered * grad_weights[None, :]) @ scatter
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("point_field", [REAL, COMPLEX])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_pure_power_forms_evaluate_with_the_bits_of_the_dense_scatter(field, point_field):
+    # sum_i a_i x_i^m over some coordinates: a width-1 table, whose real
+    # gradients are gathered in coordinate order instead of scattered
+    rng = np.random.default_rng(47)
+    for m in range(1, 6):
+        for d in range(1, 13):
+            entries = []
+            for i in np.flatnonzero(rng.random(d) < 0.7):
+                alpha = tuple(m * (np.arange(d) == i))
+                entries.append((alpha, rng.standard_normal() if field == REAL
+                                else complex(*rng.standard_normal(2))))
+            form = make_form(m, d, field, entries)
+            assert form._table[0].shape[1] == (1 if entries else 0)
+            for n in (1, 2, 33, 132):
+                pts = rng.standard_normal((n, d))
+                if point_field == COMPLEX:
+                    pts = pts + 1j * rng.standard_normal((n, d))
+                    pts[rng.random(pts.shape) < 0.1] = complex(-0.0, -1.0)
+                    pts[rng.random(pts.shape) < 0.1] = complex(1.0, -0.0)
+                pts[rng.random(pts.shape) < 0.3] = 0.0
+                pts[rng.random(pts.shape) < 0.2] = -0.0
+                pts[-1] = -0.0
+                vals, grads = form.eval_grad_batch(pts)
+                ref_vals, ref_grads = _dense_kernel(form, pts)
+                assert grads.shape == ref_grads.shape and grads.dtype == ref_grads.dtype
+                for got, ref in ((vals, ref_vals), (form.eval_batch(pts), ref_vals),
+                                 (grads, ref_grads)):
+                    np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+
 @pytest.mark.parametrize("pattern", [(3,), (2, 2)])
 def test_coordinate_coeffs_reproduce_the_mixed_value(pattern):
     rng = np.random.default_rng(37)
