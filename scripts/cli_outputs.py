@@ -32,6 +32,8 @@ COMMANDS = [
     "estimate --extremal nonattaining --n 49",
     "verify --pattern 1,1 --field complex --p 3 --samples 10 --seed 5",
     "estimate --extremal nonattaining --n 99",
+    "verify --pattern 1,1 --field real --p 2 --samples 5 --seed 7",
+    "verify --pattern 2 --field complex --p 2 --samples 5 --seed 7",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"

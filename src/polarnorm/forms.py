@@ -21,7 +21,8 @@ monomial is then its one gathered power, and a real form gathers its
 gradient rows straight into coordinate order instead of scattering them
 by a dense 0/1 matmul, with the same bits.  Complex arithmetic keeps the
 products and the matmul, whose signs of zero parts a shortcut would not
-reproduce.
+reproduce.  Such a form's largest coefficient modulus, _pure_power_top,
+bounds its norms at p <= m.
 """
 
 from __future__ import annotations
@@ -225,6 +226,12 @@ class SymmetricForm:
             place_weights[coords[support]] = grad_weights
             placed = place_rows, place_weights
         return rows, grad_rows, grad_weights, scatter, placed
+
+    @cached_property
+    def _pure_power_top(self):
+        """max |a_alpha| when the table has width 1, every monomial a pure
+        power x_i^m; None for any other form, the zero form included."""
+        return float(np.abs(self._values).max()) if self._table[0].shape[1] == 1 else None
 
     # -- evaluation --------------------------------------------------------
 

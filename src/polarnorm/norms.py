@@ -36,6 +36,14 @@ in start order.  The ell_p geometry below acts row-wise on the last axis
 for the same reason.  The seeded restart tuples and the sign-pattern
 candidates depend only on their key, not on the form, so each is built
 once and cached read-only.
+
+Where a classical bound gives the norm exactly, the estimate also stops by
+proof: _certified_upper returns max|a_i| for a pure-power form
+sum_i a_i x_i^m at p <= m, and the largest singular value of the
+coefficient matrix for a quadratic at p = 2, bounds that hold for every
+pattern.  The ascent ends after the first sweep whose best value reaches
+that bound, compared exactly, with no slack.  starts_converged still
+counts only the starts that met tol.
 """
 
 from __future__ import annotations
@@ -124,7 +132,11 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass
 class NormEstimate:
-    """A lower bound on a supremum, with the witnesses that attain it."""
+    """A lower bound on a supremum, with the witnesses that attain it.
+
+    starts_converged counts the starts that met tol; starts stopped because
+    the best value met a certified upper bound are not counted.
+    """
 
     value: float
     witnesses: list[np.ndarray]
@@ -514,9 +526,15 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     return whole, carried if whole else None
 
 
-def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig):
+def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig,
+                  *, upper: float | None = None):
     """Cyclic block moves from every start xs0 (S, n, d) in lockstep:
     (values (S,), xs (S, n, d), converged (S,)).
+
+    converged marks the starts that met tol.  With upper, a proven upper
+    bound on every value, all starts stop at the end of the first sweep
+    whose best value is at least upper; those still iterating stay
+    unconverged.
 
     The starts still iterating (act) make each move together, at most one
     kernel call per move; every start keeps its own step sizes and leaves
@@ -572,6 +590,8 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
             vals[act] = _values(form, pat, xs[act])
         done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
         converged[act[done]] = True
+        if upper is not None and vals.max() >= upper:
+            break
         kept_all = not done.any()
         if not kept_all:
             act, carried = act[~done], None
@@ -580,12 +600,39 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     return vals, xs, converged
 
 
+def _certified_upper(form: SymmetricForm, p: float) -> float | None:
+    """A proven upper bound on |L(x_1^{k_1} ... x_n^{k_n})| over unit vectors
+    of ell_p, for every pattern, or None where neither case applies.
+
+    - Width 1, P = sum_i a_i x_i^m, p <= m: |L| <= max|a_i| sum_i prod_j
+      |x_{j,i}|^{k_j} <= max|a_i| prod_j ||x_j||_m^{k_j} <= max|a_i|, by
+      Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.
+    - m = 2, p = 2: L(x, y) = x^T A y with A_ii = a_{2e_i} and
+      A_ij = A_ji = a_{e_i+e_j} / 2, so every pattern's norm is the largest
+      singular value of A: max|lambda| for real A, the Takagi value for
+      complex A.
+    Both are attained, at an axis and at a singular vector.
+    """
+    top = form._pure_power_top
+    if top is not None and p <= form.degree:
+        return top
+    if form.degree == 2 and p == 2.0:
+        A = np.zeros((form.dim, form.dim), dtype=complex if form.field == COMPLEX else float)
+        for alpha, a in form.coeffs.items():
+            i, j = np.repeat(np.arange(form.dim), alpha.exponents)
+            A[i, j] = A[j, i] = a if i == j else a / 2
+        return float(np.linalg.norm(A, 2))
+    return None
+
+
 def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness,
               method: str) -> NormEstimate:
-    """Best block ascent over all starts, renormalized onto the unit sphere."""
+    """Best block ascent over all starts, renormalized onto the unit sphere;
+    the ascent stops early once its best value meets _certified_upper."""
     p = space.p
     starts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
-    vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg)
+    vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg,
+                                            upper=_certified_upper(form, p))
     # index-ordered strict reduction: the first of equal values wins
     best = 0
     for s in range(1, len(vals)):

@@ -351,6 +351,19 @@ def test_table_compiles_rows_to_the_widest_support():
         assert random_form(rng, m, d)._table[0].shape[1] == min(m, d)
 
 
+def test_pure_power_top_is_the_largest_coefficient_modulus_at_width_one():
+    from polarnorm.extremals import nonattaining_bilinear, real44_form
+
+    assert nonattaining_bilinear(5).form._pure_power_top == 5 / 6
+    pure = make_form(3, 3, COMPLEX, [((3, 0, 0), 1 - 2j), ((0, 0, 3), -2.0)])
+    assert pure._pure_power_top == np.abs(1 - 2j)
+    # every linear form is a sum of pure powers x_i^1
+    assert random_form(np.random.default_rng(3), 1, 4)._pure_power_top is not None
+    assert real44_form().form._pure_power_top is None
+    assert random_form(np.random.default_rng(3), 2, 2)._pure_power_top is None
+    assert zero_form(2, 3)._pure_power_top is None
+
+
 def _padded_eval_grad(form, points):
     """eval_grad_batch from rows padded with x_0^0 to min(m, d) factors, the
     width every table had before tables took the widest support."""
