@@ -34,6 +34,7 @@ COMMANDS = [
     "estimate --extremal nonattaining --n 99",
     "verify --pattern 1,1 --field real --p 2 --samples 5 --seed 7",
     "verify --pattern 2 --field complex --p 2 --samples 5 --seed 7",
+    "verify --pattern 1,1,1,1 --field complex --p 1.5 --d 2 --samples 5 --seed 8 --restarts 5",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"

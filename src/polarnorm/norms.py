@@ -33,9 +33,10 @@ again.  It is reused only for the identical batch, the same rows in the
 same order, never for a subset, because the kernel's values depend on how
 a batch is composed.  The best start is the first of the highest values,
 in start order.  The ell_p geometry below acts row-wise on the last axis
-for the same reason.  The seeded restart tuples and the sign-pattern
-candidates depend only on their key, not on the form, so each is built
-once and cached read-only.
+for the same reason.  The sign-pattern candidates and the seeded restart
+tuples depend only on their key, not on the form, so each is built once
+and cached read-only; the restarts are keyed by (seed, restarts, space),
+and every block count takes the first blocks of one draw.
 
 Where a classical bound gives the norm exactly, the estimate also stops by
 proof: _certified_upper returns max|a_i| for a pure-power form
@@ -98,12 +99,13 @@ class OptimizerConfig:
 
     Each restart draws from an independent substream derived from
     (seed, restart index).  The draws depend only on the seed, the restart
-    count, the block count and the space, so they are built once per key
-    and cached.  All starts of one estimate ascend together in lockstep,
-    so parallel is accepted for compatibility and has no effect on what is
-    computed or returned.  The tolerance applies to the relative objective
-    change between accepted iterates.  tol and init_step must be positive,
-    init_step finite, and max_iter at least 0; NormError otherwise.
+    count and the space, so they are built once per key, cached, and
+    shared by every block count.  All starts of one estimate ascend
+    together in lockstep, so parallel is accepted for compatibility and
+    has no effect on what is computed or returned.  The tolerance applies
+    to the relative objective change between accepted iterates.  tol and
+    init_step must be positive, init_step finite, and max_iter at least 0;
+    NormError otherwise.
     """
 
     restarts: int = 32
@@ -294,33 +296,28 @@ def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     return cands
 
 
-def _random_unit(rng: np.random.Generator, dim: int, p: float, field: str) -> np.ndarray:
-    if field == COMPLEX:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    else:
-        v = rng.standard_normal(dim)
-    return radial_normalize(v, p)
-
-
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
 
 
 @functools.lru_cache(maxsize=8)
-def _restart_tuples(seed: int, restarts: int, n: int, dim: int, p: float,
+def _restart_tuples(seed: int, restarts: int, blocks: int, dim: int, p: float,
                     field: str) -> np.ndarray:
-    """The seeded random starts (restarts, n, d), read-only: restart i draws
-    its n unit vectors in turn from _restart_rng(seed, i).
+    """The seeded random starts (restarts, blocks, d), read-only: restart i
+    draws all its blocks, each a real part then an imaginary part for
+    complex fields, in one call to _restart_rng(seed, i), and every row
+    is normalized in one pass.
 
-    Every estimate of one config draws the same tuples, so they are built
-    once per key; the small cache keeps a cycle of many seeds from holding
-    their draws.
+    A generator's stream does not depend on how its draws are split, so
+    the first n blocks are the n-block starts, and every block count of
+    one (seed, restarts, space) shares one build; the small cache keeps a
+    cycle of many seeds from holding their draws.
     """
-    draws = []
-    for i in range(restarts):
-        rng = _restart_rng(seed, i)
-        draws.append(np.stack([_random_unit(rng, dim, p, field) for _ in range(n)]))
-    tuples = np.stack(draws)
+    shape = (blocks, 2, dim) if field == COMPLEX else (blocks, dim)
+    draws = np.stack([_restart_rng(seed, i).standard_normal(shape) for i in range(restarts)])
+    if field == COMPLEX:
+        draws = draws[:, :, 0] + 1j * draws[:, :, 1]
+    tuples = radial_normalize(draws, p)
     tuples.flags.writeable = False
     return tuples
 
@@ -439,7 +436,9 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
                 starts.extend(tuples[i] for i in order)
     for xs in extra_starts:
         starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
-    starts.extend(_restart_tuples(cfg.seed, cfg.restarts, n, d, p, form.field))
+    # as many blocks as any estimate of this form takes, so they share one draw
+    blocks = max(n, form.degree if form.degree <= POLARIZE_DEGREE_CAP else 1)
+    starts.extend(_restart_tuples(cfg.seed, cfg.restarts, blocks, d, p, form.field)[:, :n])
     return np.stack(starts)
 
 

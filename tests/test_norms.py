@@ -436,20 +436,46 @@ def _clear_start_caches():
     norms._ternary_candidates.cache_clear()
 
 
-def test_verify_draws_each_restart_once_per_block_count(monkeypatch):
-    # all forms of one verify share the config, so the poly estimates (n = 1)
-    # and the mixed estimates (n = 2) each draw the restarts once
-    from polarnorm.cli import verify_samples
+def _serial_restarts(seed, restarts, n, dim, p, field):
+    """Restart i draws its n unit vectors in turn from _restart_rng(seed, i),
+    each drawn and normalized alone."""
+    draws = []
+    for i in range(restarts):
+        rng = norms._restart_rng(seed, i)
+        units = []
+        for _ in range(n):
+            if field == COMPLEX:
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            else:
+                v = rng.standard_normal(dim)
+            units.append(radial_normalize(v, p))
+        draws.append(np.stack(units))
+    return np.stack(draws)
 
-    _clear_start_caches()
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_each_report_draws_each_restart_once(monkeypatch):
+    # all forms of one verify share the config, and the poly estimates
+    # (n = 1) and the mixed estimates (n = 2) share one draw
+    from polarnorm.extremals import nonattaining_bilinear, verify_instance
+
     calls = []
     original = norms._restart_rng
     monkeypatch.setattr(norms, "_restart_rng", lambda *a: calls.append(a) or original(*a))
+    _clear_start_caches()
     rng = np.random.default_rng(3)
     forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(5)]
     cfg = OptimizerConfig(restarts=8, seed=3)
     verify_samples(forms, SpaceSpec(1.0, 3, COMPLEX), (2, 1), cfg, 5e-3)
-    assert len(calls) == cfg.restarts * 2
+    assert len(calls) == cfg.restarts
+    # the poly estimate (n = 1) and the multilinear one (n = 2) of one instance
+    _clear_start_caches()
+    calls.clear()
+    verify_instance(nonattaining_bilinear(9))
+    assert len(calls) == norms.DEFAULT_CONFIG.restarts
 
 
 @pytest.mark.parametrize("field,p", [(COMPLEX, 1.0), (REAL, math.inf), (REAL, 1.5)])
@@ -462,11 +488,45 @@ def test_starts_are_the_same_from_a_cold_and_a_warm_cache(field, p):
     warm = _starts(form, space, pat, cfg, (), None)
     assert np.array_equal(cold, warm) and cold.flags.writeable
     # the restarts, last, are the draws of one generator per restart
-    serial = []
-    for i in range(cfg.restarts):
-        rng = norms._restart_rng(cfg.seed, i)
-        serial.append(np.stack([norms._random_unit(rng, 3, p, field) for _ in range(pat.n)]))
-    assert np.array_equal(cold[-cfg.restarts:], np.stack(serial))
+    assert np.array_equal(cold[-cfg.restarts:],
+                          _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field))
+
+
+_PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)],
+               4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]}
+
+
+@pytest.mark.parametrize("poly_first", [True, False])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_restart_starts_have_the_bits_of_one_draw_per_vector(field, p, m, poly_first):
+    form = random_form(np.random.default_rng(m), m, 3, field)
+    space = SpaceSpec(p, 3, field)
+    cfg = OptimizerConfig(restarts=5, seed=11, structured_starts=False)
+    patterns = _PARTITIONS[m] if poly_first else _PARTITIONS[m][::-1]
+    _clear_start_caches()
+    for _ in ("cold", "warm"):
+        for pattern in patterns:
+            pat = as_pattern(pattern)
+            starts = _starts(form, space, pat, cfg, (), None)
+            assert starts.flags.writeable
+            assert _same_bits(starts, _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field))
+            starts[:] = 0.0
+    # every pattern of the form shared one read-only draw of m blocks
+    assert norms._restart_tuples.cache_info().currsize == 1
+    draws = norms._restart_tuples(cfg.seed, cfg.restarts, m, 3, p, field)
+    assert not draws.flags.writeable
+    assert _same_bits(draws, _serial_restarts(cfg.seed, cfg.restarts, m, 3, p, field))
+
+
+@pytest.mark.parametrize("p", [1.0, 1 + 1e-7, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("dim", [2, 49])
+def test_restart_tuples_of_fewer_blocks_are_the_first_blocks_of_more(dim, field, p):
+    draws = norms._restart_tuples(4, 3, 4, dim, p, field)
+    for n in range(1, 5):
+        assert _same_bits(draws[:, :n], _serial_restarts(4, 3, n, dim, p, field))
 
 
 def test_cached_start_material_is_read_only():
