@@ -435,7 +435,7 @@ def cmd_table(args) -> int:
             "seed": args.seed,
         }
     else:
-        if not args.m or not args.k:
+        if args.m is None or args.k is None:
             raise UsageError("--markov needs --m and --k")
         if field == REAL:
             rng_rec = bounds_mod.real_markov_range(args.m, args.k)

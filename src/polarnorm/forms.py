@@ -440,19 +440,14 @@ def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: 
 
 
 def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray):
-    """Unchecked core of eval_mixed_grad: values (T,), their moduli (T,) and
-    block gradients (T, n, d) for argument tuples (T, n, d).
-
-    The moduli have the bits of _mixed_values(..., modulus=True) on the same
-    batch, since both kernels give a batch's point values bit for bit alike.
-    """
+    """Unchecked core of eval_mixed_grad: values (T,) and block gradients
+    (T, n, d) for argument tuples (T, n, d)."""
     mult, weights, grad_map = _block_table(multiplicities)
     points = (mult @ tuples).reshape(-1, form.dim)
     vals, grads = form.eval_grad_batch(points)
     scale = _polar_scale(sum(multiplicities))
     sums = vals.reshape(tuples.shape[0], -1) @ weights
-    block_grads = grad_map @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
-    return sums * scale, np.abs(sums) * scale, block_grads
+    return sums * scale, grad_map @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
 
 
 def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
@@ -517,7 +512,7 @@ def eval_mixed_grad(form: SymmetricForm, pattern, vectors: Sequence):
     mixed value in the j-th block argument; shape (n, d).  Degrees above
     POLARIZE_DEGREE_CAP are refused, as in eval_mixed.
     """
-    values, _, grads = _mixed_value_grad(
+    values, grads = _mixed_value_grad(
         form, *_mixed_arguments(form, pattern, vectors, POLARIZE_DEGREE_CAP))
     return values[0], grads[0]
 

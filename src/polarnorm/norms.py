@@ -19,21 +19,16 @@ Each sweep moves every block in turn, holding the others fixed:
   for p = 1, modulus clipping for complex p = infinity.
 
 All starts of one estimate ascend in lockstep as one (S, n, d) array.
-Every move of a sweep is at most one batched kernel call over the starts
-still iterating.  Backtracking is one loop over halving ladders, one call
-per round: the first round tries every start's own step, each later round
-the next max(1, 4 S // pending) halvings of every start still pending, so
-a call evaluates at most 4 S tuples, and each start takes the largest step
+Every move evaluates the batch it reads, the tuples of the starts still
+iterating.  Backtracking is one loop over halving ladders, one call per
+round: the first round tries every start's own step, each later round the
+next max(1, 4 S // pending) halvings of every start still pending, so a
+call evaluates at most 4 S tuples, and each start takes the largest step
 that improves.  Each start keeps its own step sizes and leaves the batch
 when it converges, so it accepts the same candidates it would accept
-alone, halving one step at a time.  A move whose batch, the tuples of the
-starts still iterating, was already evaluated (values, moduli and
-gradients in one kernel call) uses that evaluation instead of calling
-again.  It is reused only for the identical batch, the same rows in the
-same order, never for a subset, because the kernel's values depend on how
-a batch is composed.  The best start is the first of the highest values,
-in start order.  The ell_p geometry below acts row-wise on the last axis
-for the same reason.  The sign-pattern candidates and the seeded restart
+alone, halving one step at a time.  The best start is the first of the
+highest values, in start order.  The ell_p geometry below acts row-wise
+on the last axis.  The sign-pattern candidates and the seeded restart
 tuples depend only on their key, not on the form, so each is built once
 and cached read-only; the restarts are keyed by (seed, restarts, space),
 and every block count takes the first blocks of one draw.
@@ -337,12 +332,10 @@ def _values(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray
 
 
 def _value_grads(form: SymmetricForm, pat: Pattern, tuples: np.ndarray):
-    """One evaluation of argument tuples (T, n, d): signed values (T,), their
-    moduli (T,) with the bits _values gives the same batch, and block
-    gradients (T, n, d)."""
+    """Signed values (T,) and block gradients (T, n, d) of tuples (T, n, d)."""
     if pat.n == 1:
         vals, grads = form.eval_grad_batch(tuples[:, 0, :])
-        return vals, np.abs(vals), grads[:, None, :]
+        return vals, grads[:, None, :]
     return _mixed_value_grad(form, pat.multiplicities, tuples)
 
 
@@ -415,31 +408,29 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
     representatives, so no two are unit multiples block by block; the grid
     is scored only while it has at most _CANDIDATE_CAP tuples.  The
     candidates and the restart tuples come from small per-key caches and
-    are read-only; the final np.stack copies them.
+    are read-only; the final np.concatenate copies them.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
-    starts: list[np.ndarray] = []
+    parts: list[np.ndarray] = []
     if cfg.structured_starts:
+        # each of these vectors fills every block of its start
+        vectors = [np.eye(d, dtype=dtype), radial_normalize(np.ones((1, d), dtype=dtype), p)]
         if diag_witness is not None:
-            starts.append(np.broadcast_to(diag_witness.astype(dtype), (n, d)).copy())
-        for axis in np.eye(d, dtype=dtype):
-            starts.append(np.broadcast_to(axis, (n, d)).copy())
-        starts.append(
-            np.broadcast_to(radial_normalize(np.ones(d, dtype=dtype), p), (n, d)).copy()
-        )
+            vectors.insert(0, diag_witness.astype(dtype)[None])
+        diagonal = np.concatenate(vectors)
+        parts.append(np.broadcast_to(diagonal[:, None], (len(diagonal), n, d)))
         if p == 1.0 or math.isinf(p):
             cands = _ternary_candidates(d, p, form.field)
             if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
                 tuples, vals = _score_grid(form, pat, cands)
-                order = np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]
-                starts.extend(tuples[i] for i in order)
-    for xs in extra_starts:
-        starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
+                parts.append(tuples[np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]])
+    if len(extra_starts):
+        parts.append(np.array([[np.asarray(x, dtype=dtype) for x in xs] for xs in extra_starts]))
     # as many blocks as any estimate of this form takes, so they share one draw
     blocks = max(n, form.degree if form.degree <= POLARIZE_DEGREE_CAP else 1)
-    starts.extend(_restart_tuples(cfg.seed, cfg.restarts, blocks, d, p, form.field)[:, :n])
-    return np.stack(starts)
+    parts.append(_restart_tuples(cfg.seed, cfg.restarts, blocks, d, p, form.field)[:, :n])
+    return np.concatenate(parts)
 
 
 def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
@@ -460,7 +451,7 @@ def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
 
 
 def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
-                    init_step: float, evaluation=None, graded: bool = False):
+                    init_step: float) -> None:
     """One projected gradient step with backtracking on block j, for the
     starts act.  Updates xs (S, n, d), vals (S,) and steps (S, n) in place.
 
@@ -472,16 +463,8 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     in one call.  A start takes its first (largest) improving rung: the
     step that halving one at a time would accept; the rungs past it are
     evaluated and unused.
-
-    evaluation, when given, is _value_grads of this very batch xs[act].
-    Returns (whole, evaluation): whole when the first round tried and
-    improved every start of act, so the ladder ended there and its batch is
-    the new xs[act], row for row.  With graded, such a first round is
-    evaluated with gradients, and that evaluation is returned when whole;
-    otherwise None.
     """
-    raw, _, grads = _value_grads(form, pat, xs[act]) if evaluation is None else evaluation
-    carried = None
+    raw, grads = _value_grads(form, pat, xs[act])
     dirn, gnorm = _ascent_direction(raw, grads[:, j])
     moving = gnorm > 0
     rows, dirn = act[moving], dirn[moving]
@@ -489,7 +472,6 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     accepted = np.zeros(len(rows), dtype=bool)
     pending = np.flatnonzero(step >= _MIN_STEP)
     rungs = np.arange(1)
-    whole = False
     while len(pending):
         # ldexp halves exactly: rung k has the bits of k successive halvings
         ladder = np.ldexp(step[pending, None], -rungs)
@@ -498,18 +480,12 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
         tried = rows[idx]
         cand = xs[tried]
         cand[:, j] = _sphere_move(cand[:, j] + trial[:, None] * dirn[idx], p)
-        if graded and rungs[-1] == 0 and len(tried) == len(act):
-            carried = _value_grads(form, pat, cand)
-            cvals = carried[1]
-        else:
-            cvals = _values(form, pat, cand)
+        cvals = _values(form, pat, cand)
         # idx ascends and, within a start, trial descends: the first improving
         # candidate of each start is its largest improving step
         up = np.flatnonzero(cvals > vals[tried])
         first = up[idx[up] != np.append(-1, idx[up][:-1])]
         won = idx[first]
-        if rungs[-1] == 0:
-            whole = len(won) == len(act)
         xs[rows[won]] = cand[first]
         vals[rows[won]] = cvals[first]
         step[won] = trial[first]
@@ -522,7 +498,6 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
     # a stalled block may become movable again once the others shift, so
     # failure resets the step instead of pinning it
     steps[rows, j] = np.where(accepted, np.minimum(step * 1.3, _MAX_STEP), init_step)
-    return whole, carried if whole else None
 
 
 def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig,
@@ -535,30 +510,18 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     whose best value is at least upper; those still iterating stay
     unconverged.
 
-    The starts still iterating (act) make each move together, at most one
-    kernel call per move; every start keeps its own step sizes and leaves
-    when it converges, so it follows the path it would follow alone.
-
-    The last evaluation of xs[act] (_value_grads) is carried into the next
-    move while no row of xs[act] moves and act stays the same, and never to
-    a subset: the kernel's values depend on how a batch is composed.  Two
-    evaluations are made with gradients in advance, because the batch they
-    evaluate usually becomes the next xs[act]: the end-of-sweep values after
-    a sweep that kept every start, when the first move reads gradients, and
-    a ladder's first round after that block's last ladder ended in one
-    round that improved every start.
+    The starts still iterating (act) make each move together, and each move
+    evaluates the batch xs[act] it reads; every start keeps its own step
+    sizes and leaves when it converges, so it follows the path it would
+    follow alone.
     """
     S, n, d = xs0.shape
     xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
     real_sup = form.field == REAL and math.isinf(p)
-    reads_grads = pat.multiplicities[0] == 1 or not real_sup
-    carried = _value_grads(form, pat, xs) if reads_grads else None
-    vals = carried[1].copy() if reads_grads else _values(form, pat, xs)
+    vals = _values(form, pat, xs)
     steps = np.full((S, n), cfg.init_step)
-    whole = np.zeros(n, dtype=bool)
     converged = np.zeros(S, dtype=bool)
     act = np.arange(S)
-    kept_all = True
     for _ in range(cfg.max_iter):
         before = vals[act]
         # after a linear move the values are evaluated only once a later
@@ -566,36 +529,26 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
         stale = False
         for j, k_j in enumerate(pat.multiplicities):
             if k_j == 1:
-                if carried is None:
-                    carried = _value_grads(form, pat, xs[act])
-                xs[act, j] = dual_align(carried[2][:, j], p, d)
-                carried, stale = None, True
-            elif real_sup:
-                if stale:
-                    vals[act] = _values(form, pat, xs[act])
-                    stale = False
+                _, grads = _value_grads(form, pat, xs[act])
+                xs[act, j] = dual_align(grads[:, j], p, d)
+                stale = True
+                continue
+            if stale:
+                vals[act] = _values(form, pat, xs[act])
+                stale = False
+            if real_sup:
                 _coordinate_moves(form, pat, j, xs, vals, act)
             else:
-                if stale:
-                    carried = _value_grads(form, pat, xs[act])
-                    vals[act] = carried[1]
-                    stale = False
-                whole[j], carried = _gradient_moves(form, p, pat, j, xs, vals, steps, act,
-                                                    cfg.init_step, carried, whole[j])
-        if stale and kept_all and reads_grads:
-            carried = _value_grads(form, pat, xs[act])
-            vals[act] = carried[1]
-        elif stale:
+                _gradient_moves(form, p, pat, j, xs, vals, steps, act, cfg.init_step)
+        if stale:
             vals[act] = _values(form, pat, xs[act])
         done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
         converged[act[done]] = True
         if upper is not None and vals.max() >= upper:
             break
-        kept_all = not done.any()
-        if not kept_all:
-            act, carried = act[~done], None
-            if not len(act):
-                break
+        act = act[~done]
+        if not len(act):
+            break
     return vals, xs, converged
 
 

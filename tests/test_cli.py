@@ -255,6 +255,19 @@ def test_table_markov_real(capsys):
     assert row["M_exact"] == pytest.approx(36.0)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m,k", [("0", "1"), ("4", "0")])
+def test_table_markov_out_of_range_degree_names_the_range(capsys, m, k, field):
+    code, out, err = run_cli(capsys, "table", "--markov", "--m", m, "--k", k, "--field", field)
+    assert code == 2 and out == ""
+    assert f"need 1 <= k <= m, got k={k}, m={m}" in err
+
+
+def test_table_markov_needs_m_and_k(capsys):
+    code, _, err = run_cli(capsys, "table", "--markov", "--m", "4")
+    assert code == 2 and "--markov needs --m and --k" in err
+
+
 def test_table_needs_exactly_one_mode(capsys):
     code, _, err = run_cli(capsys, "table", "--m", "4")
     assert code == 2

@@ -538,6 +538,58 @@ def test_cached_start_material_is_read_only():
         cands[0, 0] = 0.0
 
 
+def _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness):
+    """The starts built one (n, d) array at a time and then np.stack-ed, with
+    the restarts drawn one vector at a time."""
+    d, p, n = form.dim, space.p, pat.n
+    dtype = np.complex128 if form.field == COMPLEX else np.float64
+    starts = []
+    if cfg.structured_starts:
+        if diag_witness is not None:
+            starts.append(np.broadcast_to(diag_witness.astype(dtype), (n, d)).copy())
+        for axis in np.eye(d, dtype=dtype):
+            starts.append(np.broadcast_to(axis, (n, d)).copy())
+        ones = radial_normalize(np.ones(d, dtype=dtype), p)
+        starts.append(np.broadcast_to(ones, (n, d)).copy())
+        if p == 1.0 or math.isinf(p):
+            cands = _ternary_candidates(d, p, form.field)
+            if len(cands) and len(cands) ** n <= norms._CANDIDATE_CAP:
+                tuples, vals = norms._score_grid(form, pat, cands)
+                order = np.argsort(-vals, kind="stable")[:norms._TOP_CANDIDATE_STARTS]
+                starts.extend(tuples[i] for i in order)
+    for xs in extra_starts:
+        starts.append(np.array([np.asarray(x, dtype=dtype) for x in xs]))
+    starts.extend(_serial_restarts(cfg.seed, cfg.restarts, n, d, p, form.field))
+    return np.stack(starts)
+
+
+@pytest.mark.parametrize("structured", [True, False])
+@pytest.mark.parametrize("given_starts", [True, False])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_starts_have_the_bits_of_one_stacked_start_at_a_time(field, p, pattern, given_starts,
+                                                               structured):
+    pat = as_pattern(pattern)
+    form = random_form(np.random.default_rng(13), pat.m, 3, field)
+    space = SpaceSpec(p, 3, field)
+    cfg = OptimizerConfig(restarts=5, seed=7, structured_starts=structured)
+    extra_starts, diag_witness = (), None
+    if given_starts:
+        # plain lists of real entries, a signed zero among them, as a caller
+        # may pass them; the diagonal witness is a start's block
+        rng = np.random.default_rng(17)
+        extra_starts = [[list(v) for v in rng.standard_normal((pat.n, 3))] for _ in range(2)]
+        extra_starts[0][0][1] = -0.0
+        diag_witness = radial_normalize(rng.standard_normal(3), p)
+        if field == COMPLEX:
+            diag_witness = diag_witness * np.exp(0.3j)
+    got = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+    expected = _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness)
+    assert got.dtype == expected.dtype and got.flags.writeable
+    assert _same_bits(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # determinism and structure
 
@@ -737,7 +789,7 @@ def _serial_gradient_moves(form, p, pat, j, xs, vals, steps, init_step):
     """Oracle of the halving ladder: one start at a time, one halving per
     _values call, accepting the first step that improves."""
     for s in range(len(xs)):
-        raw, _, grads = _value_grads(form, pat, xs[s:s + 1])
+        raw, grads = _value_grads(form, pat, xs[s:s + 1])
         dirn, gnorm = _ascent_direction(raw, grads[:, j])
         if gnorm[0] == 0:
             continue
@@ -850,7 +902,7 @@ def test_first_backtracking_round_tries_one_step_per_moving_start(monkeypatch):
     steps = np.full((32, 1), 0.5)
     act = np.array([2, 9, 17, 30])
     moving = np.array([2, 17, 30])
-    raw, _, grads = _value_grads(f, pat, xs[moving])
+    raw, grads = _value_grads(f, pat, xs[moving])
     dirn, _ = _ascent_direction(raw, grads[:, 0])
     expected = _sphere_move(xs[moving, 0] + 0.5 * dirn, 2.0)
     calls = []
@@ -1021,15 +1073,14 @@ def _tuples_with_zeros(rng, count, n, d, field):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("pattern", [(2,), (3,), (2, 1), (1, 1), (1, 1, 1), (2, 2)])
 def test_an_evaluation_has_the_bits_of_a_fresh_one_on_the_same_batch(pattern, field):
-    # a carried evaluation stands in for _values and for _value_grads of the
-    # same rows in the same order; bits must not depend on which call made it
+    # _value_grads gives the signed values whose moduli _values gives, and
+    # its bits must not depend on which array holds the rows
     pat = as_pattern(pattern)
     form = random_form(np.random.default_rng(83), pat.m, 3, field)
     tuples = _tuples_with_zeros(np.random.default_rng(89), 40, pat.n, 3, field)
     for size in range(1, 41):
         batch = tuples[:size]
-        raw, moduli, grads = _value_grads(form, pat, batch)
-        _assert_bitwise_equal(moduli, _values(form, pat, batch))
+        raw, grads = _value_grads(form, pat, batch)
         if pat.n == 1:
             signed = form.eval_batch(batch[:, 0, :])
         else:
@@ -1037,8 +1088,8 @@ def test_an_evaluation_has_the_bits_of_a_fresh_one_on_the_same_batch(pattern, fi
         _assert_bitwise_equal(raw, signed)
         # the same rows gathered into a new array, as xs[act] gathers them
         again = _value_grads(form, pat, tuples[np.arange(size)])
-        for fresh, carried in zip(again, (raw, moduli, grads)):
-            _assert_bitwise_equal(fresh, carried)
+        for fresh, first in zip(again, (raw, grads)):
+            _assert_bitwise_equal(fresh, first)
 
 
 def _fresh_block_ascent(form, p, pat, xs0, cfg):
@@ -1055,7 +1106,7 @@ def _fresh_block_ascent(form, p, pat, xs0, cfg):
         stale = False
         for j, k_j in enumerate(pat.multiplicities):
             if k_j == 1:
-                _, _, grads = _value_grads(form, pat, xs[act])
+                _, grads = _value_grads(form, pat, xs[act])
                 xs[act, j] = dual_align(grads[:, j], p, d)
                 stale = True
                 continue
@@ -1109,19 +1160,21 @@ def test_nonattaining_instance_evaluates_values_alone_rarely(monkeypatch):
 
     calls = _count_kernel_calls(monkeypatch)
     verify_instance(nonattaining_bilinear(9))
-    # evaluating every move's batch afresh takes 985 eval_batch and 1452
-    # eval_grad_batch calls here, nearly one per sweep for a batch the last
-    # move had seen; carrying evaluations takes 36 and 1483
+    # the certificate stops both estimates after one sweep: 11 eval_batch and
+    # 3 eval_grad_batch calls, each move evaluating the batch it reads.
+    # Without the certificate all 500 + 500 sweeps take 985 and 1452, and
+    # carrying evaluations from move to move took 36 and 1483
     assert calls["eval_batch"] <= 40
     assert calls["eval_batch"] + calls["eval_grad_batch"] <= 1530
 
 
-@pytest.mark.parametrize("pattern,per_sweep", [((1, 1), 2), ((2,), 1)])
-def test_a_steady_sweep_evaluates_each_new_batch_once(monkeypatch, pattern, per_sweep):
+@pytest.mark.parametrize("pattern,per_sweep", [((1, 1), 3), ((2,), 2)])
+def test_a_steady_sweep_evaluates_each_batch_it_reads_once(monkeypatch, pattern, per_sweep):
     # on the non-attaining instance the alternating and the gradient ascent
     # approach the top weight slowly, so no start converges in 30 sweeps and
-    # every ladder accepts its first step: a (1, 1) sweep evaluates the two
-    # tuples it makes, a (2,) sweep the one
+    # every ladder accepts its first step: a (1, 1) sweep evaluates the batch
+    # each of its two linear moves reads, then the values it leaves; a (2,)
+    # sweep the batch its gradient move reads, then the ladder's one round
     from polarnorm.extremals import nonattaining_bilinear
 
     inst = nonattaining_bilinear(9)
