@@ -15,14 +15,9 @@ coordinate polynomials multiply the gathered entries of one power table
 x_i^e, 0 <= e <= m.  A padding factor 1.0 changes no bit of a real product;
 of a complex one it can change only the sign of a zero part.
 
-A table of width 1 holds pure powers x_i^m only, as a diagonal form does,
-so each coordinate has at most one gradient row.  At real points each
-monomial is then its one gathered power, and a real form gathers its
-gradient rows straight into coordinate order instead of scattering them
-by a dense 0/1 matmul, with the same bits.  Complex arithmetic keeps the
-products and the matmul, whose signs of zero parts a shortcut would not
-reproduce.  Such a form's largest coefficient modulus, _pure_power_top,
-bounds its norms at p <= m.
+A table of width 1 holds pure powers x_i^m only, as a diagonal form does.
+Such a form's largest coefficient modulus, _pure_power_top, bounds its
+norms at p <= m.
 """
 
 from __future__ import annotations
@@ -200,13 +195,7 @@ class SymmetricForm:
     def _table(self):
         """Monomial rows (C, r), r the widest support of a monomial, plus
         gradient rows with one exponent e at coordinate i lowered, their
-        weights a_alpha * e and 0/1 scatter to i, and the placement.
-
-        At width 1 every monomial is a pure power x_i^m, so no two gradient
-        rows share a coordinate.  The placement of a real form of width 1 is
-        then, per coordinate, its gradient row (d, 1) and weight (d,), with
-        x_0^0 and weight 0 for a coordinate that has none; None otherwise.
-        """
+        weights a_alpha * e and 0/1 scatter to i."""
         E = self._exponents
         r = int((E > 0).sum(axis=1).max(initial=0))
         # a stable sort of the zero flags puts the support first, in coordinate order
@@ -218,14 +207,7 @@ class SymmetricForm:
         grad_weights = (self._values[:, None] * exps)[support]
         scatter = np.zeros((len(grad_rows), self.dim))
         scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
-        placed = None
-        if r == 1 and self.field == REAL:
-            place_rows = np.zeros((self.dim, 1), dtype=np.int64)
-            place_weights = np.zeros(self.dim)
-            place_rows[coords[support]] = grad_rows
-            place_weights[coords[support]] = grad_weights
-            placed = place_rows, place_weights
-        return rows, grad_rows, grad_weights, scatter, placed
+        return rows, grad_rows, grad_weights, scatter
 
     @cached_property
     def _pure_power_top(self):
@@ -270,27 +252,10 @@ class SymmetricForm:
         return monomials @ self._values
 
     def eval_grad_batch(self, points: np.ndarray):
-        """(P(x), grad P(x)) per row; complex forms return holomorphic partials.
-
-        A real form of width 1 at real points gathers its weighted gradient
-        rows through the placement, in coordinate order.  Each entry of the
-        0/1 scatter matmul is one such product plus exact zeros, so for
-        finite entries the placement has its bits once + 0.0 turns a -0 into
-        the +0 that dgemm's sum gives.  A complex result keeps the matmul:
-        zgemm can leave a -0 part in an exact zero, which no placement
-        reproduces.
-        """
-        rows, grad_rows, grad_weights, scatter, placed = self._table
-        points = np.atleast_2d(points)
-        if placed is not None and points.dtype.kind != "c":
-            monomials, lowered = self._products(points, rows, placed[0])
-            grads = np.empty(lowered.shape)
-            np.multiply(lowered, placed[1], out=grads)
-            grads += 0.0
-        else:
-            monomials, lowered = self._products(points, rows, grad_rows)
-            grads = (lowered * grad_weights[None, :]) @ scatter
-        return monomials @ self._values, grads
+        """(P(x), grad P(x)) per row; complex forms return holomorphic partials."""
+        rows, grad_rows, grad_weights, scatter = self._table
+        monomials, lowered = self._products(np.atleast_2d(points), rows, grad_rows)
+        return monomials @ self._values, (lowered * grad_weights[None, :]) @ scatter
 
     def scaled(self, factor) -> "SymmetricForm":
         """New form with every coefficient multiplied by factor."""

@@ -27,11 +27,12 @@ call evaluates at most 4 S tuples, and each start takes the largest step
 that improves.  Each start keeps its own step sizes and leaves the batch
 when it converges, so it accepts the same candidates it would accept
 alone, halving one step at a time.  The best start is the first of the
-highest values, in start order.  The ell_p geometry below acts row-wise
-on the last axis.  The sign-pattern candidates and the seeded restart
-tuples depend only on their key, not on the form, so each is built once
-and cached read-only; the restarts are keyed by (seed, restarts, space),
-and every block count takes the first blocks of one draw.
+highest values, in start order; an estimate that is not finite, from a
+form whose values overflow, raises NormError.  The ell_p geometry below
+acts row-wise on the last axis.  The seeded restart tuples depend only on
+(seed, restarts, space), not on the form, so they are drawn once per key
+and cached read-only, and every block count takes the first blocks of
+one draw.
 
 Where a classical bound gives the norm exactly, the estimate also stops by
 proof: _certified_upper returns max|a_i| for a pure-power form
@@ -231,12 +232,6 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
     Real phi: y_i = sign(phi_i) |phi_i|^{p'-1}, normalized; complex phi uses
     the conjugate phase.  Ties at p = 1 break to the lowest index; the zero
     functional returns e_1.
-
-    For 1 < p < infinity the moduli are scaled by their largest, top, as in
-    lp_norm, so w = (|phi| / top)^{p'-1} has largest entry exactly 1.0.
-    For real phi, lp_norm of sign(phi) * w would then rescale by 1.0 and
-    power the moduli w themselves, so the norm is taken from w directly:
-    the bits of radial_normalize, in one pass, with no zero row possible.
     """
     moduli = np.abs(phi)
     top = moduli.max(axis=-1, keepdims=True)
@@ -256,16 +251,13 @@ def dual_align(phi: np.ndarray, p: float, dim: int) -> np.ndarray:
         return phases
     # scaled like lp_norm: near p = 1 the power p' - 1 is huge
     w = (moduli / top) ** (conjugate_exponent(p) - 1.0)
-    if np.iscomplexobj(phi):
-        return radial_normalize(phases * w, p)
-    return phases * w / (w**p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    return radial_normalize(phases * w, p)
 
 
 # ---------------------------------------------------------------------------
 # deterministic structured starts
 
 
-@functools.lru_cache(maxsize=8)
 def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     """Normalized sign-pattern candidates {-1,0,1}^d (plus phases i, -i when
     the complex set stays small), one per class of unit multiples; exact
@@ -275,20 +267,17 @@ def _ternary_candidates(dim: int, p: float, field: str) -> np.ndarray:
     block, so of the rows c*x, c in {-1, 1} (and {i, -i} with the complex
     alphabet), only the one whose first nonzero entry is 1 is kept, in
     itertools.product order: (|A|^d - 1) / |U| rows.  The cap counts the
-    whole alphabet's rows.  Built once per key and returned read-only.
+    whole alphabet's rows.
     """
     alphabet: tuple = (-1.0, 0.0, 1.0)
     if field == COMPLEX and (5**dim - 1) <= _CANDIDATE_CAP:
         alphabet = (0.0, 1.0, -1.0, 1.0j, -1.0j)
     if len(alphabet) ** dim - 1 > _CANDIDATE_CAP:
-        cands = np.zeros((0, dim))
-    else:
-        rows = [row for row in itertools.product(alphabet, repeat=dim)
-                if next((c for c in row if c != 0), None) == 1]
-        arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
-        cands = radial_normalize(arr, p)
-    cands.flags.writeable = False
-    return cands
+        return np.zeros((0, dim))
+    rows = [row for row in itertools.product(alphabet, repeat=dim)
+            if next((c for c in row if c != 0), None) == 1]
+    arr = np.array(rows, dtype=np.complex128 if field == COMPLEX else np.float64)
+    return radial_normalize(arr, p)
 
 
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
@@ -382,8 +371,7 @@ def _ascent_direction(values: np.ndarray, grads: np.ndarray):
         dirn = np.conj(grads) * np.where(values != 0, values, 1.0)[:, None]
     else:
         dirn = np.where((values >= 0)[:, None], grads, -grads)
-    # np.linalg.norm(dirn, axis=1), without its dispatch
-    norm = np.sqrt(np.add.reduce((dirn.conj() * dirn).real, axis=1))
+    norm = np.linalg.norm(dirn, axis=1)
     return dirn / np.where(norm > 0, norm, 1.0)[:, None], norm
 
 
@@ -407,8 +395,8 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
     The ternary tuples are the top values of the product grid of class
     representatives, so no two are unit multiples block by block; the grid
     is scored only while it has at most _CANDIDATE_CAP tuples.  The
-    candidates and the restart tuples come from small per-key caches and
-    are read-only; the final np.concatenate copies them.
+    restart tuples come from a small per-key cache and are read-only; the
+    final np.concatenate copies them.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
@@ -580,20 +568,18 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
 def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness,
               method: str) -> NormEstimate:
     """Best block ascent over all starts, renormalized onto the unit sphere;
-    the ascent stops early once its best value meets _certified_upper."""
+    the ascent stops early once its best value meets _certified_upper.
+    NormError when that value is not finite."""
     p = space.p
     starts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
     vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg,
                                             upper=_certified_upper(form, p))
-    # index-ordered strict reduction: the first of equal values wins
-    best = 0
-    for s in range(1, len(vals)):
-        if vals[s] > vals[best]:
-            best = s
-    xs = tuples[best]
+    xs = tuples[int(np.argmax(vals))]
     nonzero = lp_norm(xs, p) > 0
     xs[nonzero] = radial_normalize(xs[nonzero], p)
     value = float(_values(form, pat, xs[None])[0])
+    if not math.isfinite(value):
+        raise NormError("the estimate is not finite: the form's values overflow")
     return NormEstimate(value, list(xs), method, int(converged.sum()))
 
 

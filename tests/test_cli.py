@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -145,6 +146,26 @@ def test_estimate_malformed_coefficient_exit_2(capsys, tmp_path, entry):
     )
     assert code == 2
     assert out == "" and "coefficient" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("doc,pattern", [
+    ({"degree": 2, "dim": 2, "coeffs": [{"alpha": [2, 0], "re": 1e308},
+                                        {"alpha": [1, 1], "re": 1.7e308},
+                                        {"alpha": [0, 2], "re": -1e308}]}, "1,1"),
+    ({"degree": 3, "dim": 3, "coeffs": [{"alpha": list(a), "re": 1.5e308}
+                                        for a in itertools.product(range(4), repeat=3)
+                                        if sum(a) == 3]}, "2,1"),
+], ids=["quadratic", "cubic"])
+def test_estimate_of_a_form_whose_values_overflow_exit_2(capsys, tmp_path, doc, pattern):
+    (tmp_path / "big.json").write_text(json.dumps({"field": "real", **doc}))
+    code, out, err = run_cli(
+        capsys, "estimate", "--form", str(tmp_path / "big.json"), "--pattern", pattern, "--p", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nan" not in err and "inf" not in err
 
 
 def test_estimate_requires_source(capsys):

@@ -459,7 +459,7 @@ def _bits(x):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_pure_power_forms_evaluate_with_the_bits_of_the_dense_scatter(field, point_field):
     # sum_i a_i x_i^m over some coordinates: a width-1 table, whose real
-    # gradients are gathered in coordinate order instead of scattered
+    # monomials are their one gathered power
     rng = np.random.default_rng(47)
     for m in range(1, 6):
         for d in range(1, 13):

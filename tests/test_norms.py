@@ -135,7 +135,6 @@ def test_row_wise_geometry_equals_the_vector_call_per_row(field):
 
 @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.5, 2.0, 3.0, 1e6])
 def test_real_dual_align_has_the_bits_of_the_normalized_alignment(p):
-    # dual_align takes the norm of the aligned row from its weights directly;
     # the reference normalizes sign(phi) * (|phi| / top)^(p' - 1) with
     # radial_normalize
     rng = np.random.default_rng(17)
@@ -235,6 +234,26 @@ def test_poly_norm_zero_form():
     est = poly_norm(zero_form(2, 2), SpaceSpec(2.0, 2), CFG)
     assert est.value == 0.0
     assert abs(lp_norm(est.witnesses[0], 2.0) - 1.0) <= 1e-12
+
+
+# finite coefficients whose values overflow float64 at unit vectors: the
+# quadratic's polynomial norm is finite but its bilinear value is not
+OVERFLOWING_QUADRATIC = [((2, 0), 1e308), ((1, 1), 1.7e308), ((0, 2), -1e308)]
+OVERFLOWING_CUBIC = [(a, 1.5e308) for a in itertools.product(range(4), repeat=3) if sum(a) == 3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_poly_norm_of_an_overflowing_form_raises():
+    with pytest.raises(NormError, match="not finite"):
+        poly_norm(make_form(3, 3, REAL, OVERFLOWING_CUBIC), SpaceSpec(2.0, 3), CFG)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mixed_norm_of_an_overflowing_form_raises():
+    form, space = make_form(2, 2, REAL, OVERFLOWING_QUADRATIC), SpaceSpec(2.0, 2)
+    assert math.isfinite(poly_norm(form, space, CFG).value)
+    with pytest.raises(NormError, match="not finite"):
+        mixed_norm(form, space, (1, 1), CFG)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -433,7 +452,6 @@ def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
 
 def _clear_start_caches():
     norms._restart_tuples.cache_clear()
-    norms._ternary_candidates.cache_clear()
 
 
 def _serial_restarts(seed, restarts, n, dim, p, field):
@@ -531,11 +549,8 @@ def test_restart_tuples_of_fewer_blocks_are_the_first_blocks_of_more(dim, field,
 
 def test_cached_start_material_is_read_only():
     draws = norms._restart_tuples(0, 4, 2, 3, 1.0, COMPLEX)
-    cands = _ternary_candidates(3, 1.0, COMPLEX)
     with pytest.raises(ValueError):
         draws[0, 0, 0] = 0.0
-    with pytest.raises(ValueError):
-        cands[0, 0] = 0.0
 
 
 def _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness):
@@ -1009,6 +1024,18 @@ def test_ratio_report_single_block_ascends_once(monkeypatch):
     rep = ratio_report(form, SpaceSpec(1.5, 3), (3,), OptimizerConfig(restarts=4))
     assert len(calls) == 1
     assert rep.mixed.to_dict() == rep.poly.to_dict() and rep.ratio == 1.0
+
+
+def test_the_best_start_is_the_first_of_equal_highest_values(monkeypatch):
+    # exact unit vectors, so renormalizing the winner keeps its bits
+    tuples = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[-1.0, 0.0]], [[0.0, -1.0]]])
+
+    def ascent(*args, **kwargs):
+        return np.array([0.5, 1.0, 1.0, 0.25]), tuples.copy(), np.zeros(len(tuples), dtype=bool)
+
+    monkeypatch.setattr(norms, "_block_ascent", ascent)
+    est = poly_norm(product_form(2, 2), SpaceSpec(2.0, 2), CFG)
+    assert _same_bits(est.witnesses[0], tuples[1, 0])
 
 
 @pytest.mark.parametrize("space", [SpaceSpec(1.5, 3), SpaceSpec(1.0, 3, COMPLEX)])
