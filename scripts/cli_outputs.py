@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run a fixed set of fixed-seed CLI commands and write what each printed.
 
-For each command, OUTDIR gets <NN>-<subcommand>.json with its stdout under
---format json and <NN>-<subcommand>.exit with its exit code.  Two trees
+The commands cover all five subcommands, every --format and one usage
+error.  A command that names its own --format keeps it; every other runs
+under --format json.  For each command, OUTDIR gets <NN>-<subcommand>.<format>
+with its stdout and <NN>-<subcommand>.exit with its exit code.  Two trees
 whose outputs should be byte-identical are compared by running this script
 against each tree's src/ and diffing the two directories:
 
@@ -35,6 +37,20 @@ COMMANDS = [
     "verify --pattern 1,1 --field real --p 2 --samples 5 --seed 7",
     "verify --pattern 2 --field complex --p 2 --samples 5 --seed 7",
     "verify --pattern 1,1,1,1 --field complex --p 1.5 --d 2 --samples 5 --seed 8 --restarts 5",
+    "bounds --pattern 2,1 --field complex --p 1",
+    "table --chebyshev --m 5",
+    "table --markov --m 4 --k 2 --field real",
+    "table --markov --m 4 --k 2 --field complex --p 1.5",
+    "table --asymptotic --n 2 --m-max 40 --field complex",
+    "extremal --extremal real44",
+    "extremal --extremal product --pattern 2,1 --p 1.5",
+    "verify --field real",
+    "bounds --pattern 2,1 --field complex --p 1 --format csv",
+    "bounds --pattern 2,1 --field complex --p 1 --format table",
+    "verify --pattern 2,1 --field real --p 1.5 --samples 5 --seed 4 --format csv",
+    "verify --pattern 2,1 --field real --p 1.5 --samples 5 --seed 4 --format table",
+    "estimate --extremal product --pattern 2,1 --p 1.5 --format csv",
+    "estimate --extremal product --pattern 2,1 --p 1.5 --format table",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -58,11 +74,14 @@ def main() -> int:
         ap.error(f"polarnorm imports from {found}, not from {src}")
     args.outdir.mkdir(parents=True, exist_ok=True)
     for index, command in enumerate(COMMANDS, 1):
-        argv = command.split() + ["--format", "json"]
+        argv = command.split()
+        if "--format" not in argv:
+            argv += ["--format", "json"]
+        fmt = argv[argv.index("--format") + 1]
         done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=env,
                               capture_output=True, text=True)
         stem = args.outdir / f"{index:02d}-{argv[0]}"
-        stem.with_suffix(".json").write_text(done.stdout)
+        stem.with_suffix("." + fmt).write_text(done.stdout)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
         print(f"{stem.name}: exit {done.returncode}: {command}")
         if done.returncode not in (0, 1):

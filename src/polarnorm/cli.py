@@ -1,10 +1,14 @@
 """Command-line front end: bound tables, norm estimation, verification suites.
 
-Subcommands: bounds | estimate | verify | table | extremal.  Reports follow
-the schema {config, results, pass, version}; numbers serialize with 17
-significant digits so identical configurations (including the seed) emit
-byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+Subcommands: bounds | estimate | verify | table | extremal.  Each one
+computes its config echo, results and table rows and returns through
+_report, the one report path: it adds the subcommand and seed to the echo,
+emits the {config, results, pass, version} report (or the rows, under
+--format csv or table) and maps pass to the exit code.  Only
+`extremal --out`, which writes a form file and its sidecar, returns
+without a report.  Numbers serialize with 17 significant digits so
+identical configurations (including the seed) emit byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse p {text!r}") from exc
-    if p < 1.0:
+    if not p >= 1.0:  # also refuses nan
         raise UsageError(f"p must be >= 1, got {p}")
     return p
 
@@ -223,6 +227,14 @@ def _optimizer_config(args) -> OptimizerConfig:
 # subcommands
 
 
+def _report(args, config: dict, results: list, rows: list[dict], passed: bool = True) -> int:
+    """Emit the {config, results, pass, version} report of a subcommand and
+    return its exit code.  The config echo gains the subcommand and seed."""
+    config = {**config, "subcommand": args.command, "seed": args.seed}
+    _emit({"config": config, "results": results, "pass": passed, "version": __version__}, rows, args)
+    return 0 if passed else 1
+
+
 def cmd_bounds(args) -> int:
     if not args.pattern:
         raise UsageError("bounds requires --pattern")
@@ -231,28 +243,10 @@ def cmd_bounds(args) -> int:
     p = _parse_p(args.p) if args.p else None
     records = bounds_mod.applicable_bounds(pattern, p, field)
     best = bounds_mod.bound_best(pattern, p, field)
-    results = [rec.to_dict() for rec in records] + [best.to_dict()]
-    config = {
-        "subcommand": "bounds",
-        "pattern": list(pattern),
-        "p": _p_echo(p),
-        "field": field,
-        "seed": args.seed,
-    }
-    report = {"config": config, "results": results, "pass": True, "version": __version__}
-    rows = [
-        {
-            "name": r["name"],
-            "value": r["value"],
-            "log_value": r["log_value"],
-            "sharp": r["sharp"],
-            "applicable": r["applicable"],
-            "exact": r.get("exact"),
-        }
-        for r in results
-    ]
-    _emit(report, rows, args)
-    return 0
+    results = [rec.to_dict() for rec in [*records, best]]
+    columns = ("name", "value", "log_value", "sharp", "applicable", "exact")
+    rows = [{key: r.get(key) for key in columns} for r in results]
+    return _report(args, {"pattern": list(pattern), "p": _p_echo(p), "field": field}, results, rows)
 
 
 def _estimate_instance(args):
@@ -274,61 +268,25 @@ def cmd_estimate(args) -> int:
     config = _optimizer_config(args)
     if args.extremal:
         instance = _estimate_instance(args)
-        report_obj = verify_instance(instance, config)
-        result = report_obj.to_dict()
-        echo = {
-            "subcommand": "estimate",
-            "extremal": instance.name,
-            "pattern": list(instance.pattern.multiplicities),
-            "p": _p_echo(instance.space.p),
-            "field": instance.space.field,
-            "seed": args.seed,
-            "restarts": args.restarts,
-        }
-        passed = report_obj.passed
-        rows = [
-            {
-                "name": result["name"],
-                "ratio": result["ratio"],
-                "poly": result["poly"]["value"],
-                "mixed": result["mixed"]["value"],
-                "exact_ratio": result["exact_ratio"],
-                "passed": passed,
-            }
-        ]
+        pattern, space = instance.pattern.multiplicities, instance.space
+        rep = verify_instance(instance, config)
+        echo, row = {"extremal": instance.name}, {"name": instance.name}
     elif args.form:
         if not args.pattern:
             raise UsageError("estimating a form file needs --pattern")
         form = load_form(args.form)
         pattern = _parse_pattern(args.pattern)
-        p = _parse_p(args.p) if args.p else 2.0
-        space = SpaceSpec(p, form.dim, form.field)
+        space = SpaceSpec(_parse_p(args.p) if args.p else 2.0, form.dim, form.field)
         rep = ratio_report(form, space, pattern, config)
-        result = rep.to_dict()
-        echo = {
-            "subcommand": "estimate",
-            "form": args.form,
-            "pattern": list(pattern),
-            "p": _p_echo(p),
-            "field": form.field,
-            "seed": args.seed,
-            "restarts": args.restarts,
-        }
-        passed = rep.passed
-        rows = [
-            {
-                "pattern": args.pattern,
-                "ratio": result["ratio"],
-                "poly": result["poly"]["value"],
-                "mixed": result["mixed"]["value"],
-                "passed": passed,
-            }
-        ]
+        echo, row = {"form": args.form}, {"pattern": args.pattern}
     else:
         raise UsageError("estimate needs --form or --extremal")
-    report = {"config": echo, "results": [result], "pass": passed, "version": __version__}
-    _emit(report, rows, args)
-    return 0 if passed else 1
+    echo.update(pattern=list(pattern), p=_p_echo(space.p), field=space.field, restarts=args.restarts)
+    row.update(ratio=rep.ratio, poly=rep.poly.value, mixed=rep.mixed.value)
+    if args.extremal:
+        row["exact_ratio"] = rep.exact_ratio
+    row["passed"] = rep.passed
+    return _report(args, echo, [rep.to_dict()], [row], rep.passed)
 
 
 def verify_samples(forms, space: SpaceSpec, pattern, config: OptimizerConfig, slack: float):
@@ -386,24 +344,15 @@ def cmd_verify(args) -> int:
         "bound_source": best.note,
     }
     echo = {
-        "subcommand": "verify",
         "pattern": list(pattern),
         "p": _p_echo(p),
         "field": field,
         "dim": args.d,
         "samples": args.samples,
         "slack": args.slack,
-        "seed": args.seed,
         "restarts": args.restarts,
     }
-    report = {
-        "config": echo,
-        "results": rows + [{"summary": summary}],
-        "pass": passed,
-        "version": __version__,
-    }
-    _emit(report, rows, args)
-    return 0 if passed else 1
+    return _report(args, echo, rows + [{"summary": summary}], rows, passed)
 
 
 def cmd_table(args) -> int:
@@ -418,7 +367,7 @@ def cmd_table(args) -> int:
             {"k": k, "value": bounds_mod.chebyshev_markov(args.m, k).value}
             for k in range(1, args.m + 1)
         ]
-        echo = {"subcommand": "table", "mode": "chebyshev", "m": args.m, "seed": args.seed}
+        echo = {"mode": "chebyshev", "m": args.m}
     elif args.asymptotic:
         family = bounds_mod.equal_split_family(args.n)
         ms = list(range(args.n, args.m_max + 1, args.n))
@@ -426,41 +375,24 @@ def cmd_table(args) -> int:
             raise UsageError(f"--asymptotic needs --m-max >= --n, got {args.m_max} < {args.n}")
         scan = bounds_mod.asymptotic_scan(family, ms, field)
         rows = [{"m": m, "bound": v, "root": r} for m, v, r in scan]
-        echo = {
-            "subcommand": "table",
-            "mode": "asymptotic",
-            "n": args.n,
-            "m_max": args.m_max,
-            "field": field,
-            "seed": args.seed,
-        }
+        echo = {"mode": "asymptotic", "n": args.n, "m_max": args.m_max, "field": field}
     else:
         if args.m is None or args.k is None:
             raise UsageError("--markov needs --m and --k")
+        p = _parse_p(args.p) if args.p else None
         if field == REAL:
-            rng_rec = bounds_mod.real_markov_range(args.m, args.k)
-            rows = [rng_rec.to_dict()]
+            rows = [bounds_mod.real_markov_range(args.m, args.k).to_dict()]
         else:
             homog, full = bounds_mod.markov_complex_any(args.k, args.m)
             rows = [
                 {"name": "homogeneous_derivative", "value": homog.value, "sharp": homog.sharp},
                 {"name": "full_derivative", "value": full.value, "sharp": full.sharp},
             ]
-            if args.p:
-                lp = bounds_mod.markov_complex_lp(args.k, args.m, _parse_p(args.p))
+            if p is not None:
+                lp = bounds_mod.markov_complex_lp(args.k, args.m, p)
                 rows.append({"name": "homogeneous_derivative_lp", "value": lp.value, "sharp": lp.sharp})
-        echo = {
-            "subcommand": "table",
-            "mode": "markov",
-            "m": args.m,
-            "k": args.k,
-            "field": field,
-            "p": _p_echo(_parse_p(args.p)) if args.p else None,
-            "seed": args.seed,
-        }
-    report = {"config": echo, "results": rows, "pass": True, "version": __version__}
-    _emit(report, rows, args)
-    return 0
+        echo = {"mode": "markov", "m": args.m, "k": args.k, "field": field, "p": _p_echo(p)}
+    return _report(args, echo, rows, rows)
 
 
 def cmd_extremal(args) -> int:
@@ -470,38 +402,22 @@ def cmd_extremal(args) -> int:
         form_path = Path(args.out)
         save_form(instance.form, form_path)
         sidecar = form_path.with_name(form_path.name + ".sidecar.json")
-        meta = {k: v for k, v in doc.items() if k != "form"}
-        sidecar.write_text(_json_dumps(meta) + "\n")
-        written = [str(form_path), str(sidecar)]
-    else:
-        written = []
+        sidecar.write_text(_json_dumps({k: v for k, v in doc.items() if k != "form"}) + "\n")
+        sys.stdout.write(f"{form_path}\n{sidecar}\n")
+        return 0
     echo = {
-        "subcommand": "extremal",
         "extremal": instance.name,
         "pattern": list(instance.pattern.multiplicities),
         "p": _p_echo(instance.space.p),
         "field": instance.space.field,
-        "seed": args.seed,
     }
-    report = {
-        "config": echo,
-        "results": [doc, {"written": written}],
-        "pass": True,
-        "version": __version__,
+    row = {
+        "name": instance.name,
+        "exact_poly_norm": instance.exact_poly_norm,
+        "exact_ratio": instance.exact_ratio,
+        "witness_value": float(abs(instance.witness_mixed_value)),
     }
-    rows = [
-        {
-            "name": instance.name,
-            "exact_poly_norm": instance.exact_poly_norm,
-            "exact_ratio": instance.exact_ratio,
-            "witness_value": float(abs(instance.witness_mixed_value)),
-        }
-    ]
-    if args.out:
-        sys.stdout.write("\n".join(written) + "\n")
-        return 0
-    _emit(report, rows, args)
-    return 0
+    return _report(args, echo, [doc, {"written": []}], [row])
 
 
 COMMANDS = {
@@ -517,7 +433,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        # a form whose values overflow raises NormError; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](args)
     except (UsageError, FormError, bounds_mod.BoundError, NormError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .forms import (
     COMPLEX,

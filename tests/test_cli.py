@@ -148,7 +148,7 @@ def test_estimate_malformed_coefficient_exit_2(capsys, tmp_path, entry):
     assert out == "" and "coefficient" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("doc,pattern", [
     ({"degree": 2, "dim": 2, "coeffs": [{"alpha": [2, 0], "re": 1e308},
                                         {"alpha": [1, 1], "re": 1.7e308},
@@ -346,6 +346,9 @@ def test_bounds_real_large_degree(capsys, k):
         ("table", "--chebyshev", "--m", "-3"),
         ("table", "--asymptotic", "--n", "3", "--m-max", "2"),
         ("table", "--asymptotic", "--n", "2", "--m-max", "-5"),
+        ("table", "--markov", "--m", "4", "--k", "2", "--field", "real", "--p", "nan",
+         "--format", "json"),
+        ("verify", "--pattern", "2,1", "--p", "nan"),
     ],
 )
 def test_bad_numeric_flags_exit_2(capsys, argv):
@@ -410,6 +413,28 @@ def test_csv_json_agreement_for_verify(capsys):
     for jr, cr in zip(json_rows, csv_rows):
         assert float(cr["ratio"]) == jr["ratio"]
         assert float(cr["bound"]) == jr["bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--pattern", "2,1", "--field", "complex", "--p", "1", "--seed", "5"),
+    ("estimate", "--extremal", "real44", "--restarts", "4", "--seed", "6"),
+    ("verify", "--pattern", "1,1", "--p", "2", "--samples", "2", "--slack", "-0.5",
+     "--restarts", "4", "--seed", "7"),
+    ("table", "--markov", "--m", "4", "--k", "2", "--field", "complex", "--p", "1.5", "--seed", "8"),
+    ("extremal", "--extremal", "product", "--pattern", "2,1", "--p", "1.5", "--seed", "9"),
+], ids=lambda argv: argv[0])
+def test_report_contract(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert set(report) == {"config", "results", "pass", "version"}
+    assert report["config"]["subcommand"] == argv[0]
+    assert report["config"]["seed"] == int(argv[-1])
+    assert code == (0 if report["pass"] else 1)
+    _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    _, table_out, _ = run_cli(capsys, *argv, "--format", "table")
+    csv_lines, table_lines = csv_out.splitlines(), table_out.splitlines()
+    assert csv_lines[0].split(",") == table_lines[0].split()
+    assert len(csv_lines) == len(table_lines)
 
 
 def test_json_uses_string_inf(capsys):
