@@ -8,7 +8,8 @@ emits the {config, results, pass, version} report (or the rows, under
 `extremal --out`, which writes a form file and its sidecar, returns
 without a report.  Numbers serialize with 17 significant digits so
 identical configurations (including the seed) emit byte-identical output.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a path that
+cannot be read or written included).
 """
 
 from __future__ import annotations
@@ -436,7 +437,8 @@ def main(argv=None) -> int:
         # a form whose values overflow raises NormError; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             return COMMANDS[args.command](args)
-    except (UsageError, FormError, bounds_mod.BoundError, NormError, FileNotFoundError) as exc:
+    # OSError: a form file that cannot be read, an --out path that cannot be written
+    except (UsageError, FormError, bounds_mod.BoundError, NormError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,9 @@ of a complex one it can change only the sign of a zero part.
 
 A table of width 1 holds pure powers x_i^m only, as a diagonal form does.
 Such a form's largest coefficient modulus, _pure_power_top, bounds its
-norms at p <= m.
+norms at p <= m.  Any form's largest tensor entry modulus, _tensor_top,
+bounds its norms at p = 1; on a pure-power form the two are the same
+number, bit for bit.
 """
 
 from __future__ import annotations
@@ -214,6 +216,18 @@ class SymmetricForm:
         """max |a_alpha| when the table has width 1, every monomial a pure
         power x_i^m; None for any other form, the zero form included."""
         return float(np.abs(self._values).max()) if self._table[0].shape[1] == 1 else None
+
+    @cached_property
+    def _tensor_top(self):
+        """max |a_beta| beta!/m!, the largest tensor entry modulus; None for
+        the zero form.  Each weight beta!/m! is one correctly rounded integer
+        ratio, so a pure power's weight is exactly 1.0 and a pure-power
+        form's value has the bits of _pure_power_top."""
+        if not self.coeffs:
+            return None
+        fact_m = math.factorial(self.degree)
+        weights = np.array([math.prod(map(math.factorial, alpha)) / fact_m for alpha in self.coeffs])
+        return float((np.abs(self._values) * weights).max())
 
     # -- evaluation --------------------------------------------------------
 

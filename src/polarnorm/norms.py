@@ -3,7 +3,8 @@
 Every estimator returns a NormEstimate: the best objective value found over
 a deterministic family of starts (structured candidates plus seeded random
 restarts), together with the witness vectors that attain it.  Values are
-always lower bounds on the true suprema.
+lower bounds on the true suprema up to rounding: a value evaluated at a
+witness can read a few ulps above the supremum.
 
 All three estimators run one engine, block ascent over the argument tuple
 (x_1, ..., x_n) of a pattern (k_1, ..., k_n): poly_norm is the pattern
@@ -34,13 +35,15 @@ acts row-wise on the last axis.  The seeded restart tuples depend only on
 and cached read-only, and every block count takes the first blocks of
 one draw.
 
-Where a classical bound gives the norm exactly, the estimate also stops by
-proof: _certified_upper returns max|a_i| for a pure-power form
-sum_i a_i x_i^m at p <= m, and the largest singular value of the
-coefficient matrix for a quadratic at p = 2, bounds that hold for every
-pattern.  The ascent ends after the first sweep whose best value reaches
-that bound, compared exactly, with no slack.  starts_converged still
-counts only the starts that met tol.
+Where a classical bound is known, the estimate also stops by proof:
+_certified_upper returns, for every pattern, the largest tensor entry
+modulus max|a_beta| beta!/m! at p = 1 (the multilinear norm there, since
+L is linear in each slot and the ell_1 ball's extreme points are unit
+multiples of axes), max|a_i| for a pure-power form sum_i a_i x_i^m at
+p <= m, and the largest singular value of the coefficient matrix for a
+quadratic at p = 2.  The ascent ends after the first sweep whose best
+value reaches that bound, compared exactly, with no slack.
+starts_converged still counts only the starts that met tol.
 """
 
 from __future__ import annotations
@@ -541,8 +544,14 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
 
 def _certified_upper(form: SymmetricForm, p: float) -> float | None:
     """A proven upper bound on |L(x_1^{k_1} ... x_n^{k_n})| over unit vectors
-    of ell_p, for every pattern, or None where neither case applies.
+    of ell_p, for every pattern, or None where no case applies.
 
+    - p = 1: |L(x_1, ..., x_m)| <= max_beta |a_beta| beta!/m!, the largest
+      tensor entry modulus.  L is linear in each slot, so |L| is convex in
+      each slot and its sup over a product of ell_1 balls is reached at
+      vertex tuples (e_{i_1}, ..., e_{i_m}) up to unit scalars, where it is
+      a tensor entry; every pattern's value is a value of L.  This is the
+      multilinear norm, and for a pure-power form it is max|a_i|.
     - Width 1, P = sum_i a_i x_i^m, p <= m: |L| <= max|a_i| sum_i prod_j
       |x_{j,i}|^{k_j} <= max|a_i| prod_j ||x_j||_m^{k_j} <= max|a_i|, by
       Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.
@@ -550,8 +559,11 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
       A_ij = A_ji = a_{e_i+e_j} / 2, so every pattern's norm is the largest
       singular value of A: max|lambda| for real A, the Takagi value for
       complex A.
-    Both are attained, at an axis and at a singular vector.
+    The first is attained by the multilinear pattern at a vertex tuple; the
+    other two by every pattern, at an axis and at a singular vector.
     """
+    if p == 1.0:
+        return form._tensor_top
     top = form._pure_power_top
     if top is not None and p <= form.degree:
         return top
@@ -601,8 +613,8 @@ def poly_norm(
 ) -> NormEstimate:
     """Estimate sup of |P(x)| over the unit ball of the space.
 
-    The single-block pattern (m,) of the block ascent; the result never
-    exceeds the true norm and is deterministic for a fixed seed.
+    The single-block pattern (m,) of the block ascent; the result exceeds
+    the true norm by rounding at most and is deterministic for a fixed seed.
     """
     _check_space(form, space)
     pat = as_pattern(form.degree)

@@ -357,6 +357,19 @@ def test_bad_numeric_flags_exit_2(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--pattern", "2"),
+    ("extremal", "--extremal", "product", "--pattern", "2,1", "--p", "1"),
+])
+@pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+def test_an_out_path_that_cannot_be_written_exit_2(capsys, tmp_path, argv, target):
+    # an existing directory raised IsADirectoryError, a traceback with exit 1
+    path = tmp_path if target == "directory" else tmp_path / target
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # extremal emission and format agreement
 

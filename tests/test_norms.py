@@ -768,19 +768,20 @@ def test_complex_l1_estimate_keeps_the_value_of_its_axis_start():
 
 
 @pytest.mark.xfail(strict=True, reason="the best start is chosen by its value before the "
-                   "final renormalization, which can cost it an ulp of norm and of value")
-def test_complex_l1_estimate_of_an_uncertified_form_keeps_the_value_of_its_axis_start():
-    # P = a_0 x_0^2 + c x_1 x_2 on complex ell_1^3 has width 2, so no
-    # certificate stops its ascent.  Its norm is max(|a_0|, |c| / 4) = |a_0|,
-    # attained by the axis start e_0.  The start from the ones vector ends
-    # at ||x||_1 = 1 + 2.2e-16 one ulp above it, wins, and after
-    # renormalization returns 3 ulps less
-    a0, c = 0.345584192064786 + 0.8216181435011584j, 0.0029453137790595926 - 0.011615545673195993j
-    form = make_form(2, 3, COMPLEX, [((2, 0, 0), a0), ((0, 1, 1), c)])
-    space, cfg = SpaceSpec(1.0, 3, COMPLEX), OptimizerConfig(restarts=4, seed=1)
-    assert norms._certified_upper(form, 1.0) is None
-    top = float(_values(form, as_pattern(2), np.eye(3, dtype=complex)[:1, None])[0])
-    assert top == np.abs(a0) > abs(c) / 4
+                   "final renormalization, which can cost it ulps of norm and of value")
+def test_complex_l1_estimate_of_a_width_2_form_keeps_the_value_of_its_axis_start():
+    # P = a_0 x_0^3 + c x_1 x_2^2 on complex ell_1^3 has width 2.  Its norm is
+    # max(|a_0|, |c| / 3) = |a_0|, attained by the axis start e_0, and the
+    # largest tensor entry certifies it.  The last random start ends the
+    # first sweep at ||x||_1 = 1 + 2.2e-16, one ulp above |a_0|, meets the
+    # certificate, wins, and after renormalization returns 5.6e-16 less
+    rng = np.random.default_rng(3005)
+    a0, c = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)) / 50
+    form = make_form(3, 3, COMPLEX, [((3, 0, 0), a0), ((0, 1, 2), c)])
+    space, cfg = SpaceSpec(1.0, 3, COMPLEX), OptimizerConfig(restarts=4, seed=5)
+    assert norms._certified_upper(form, 1.0) == np.abs(a0)
+    top = float(_values(form, as_pattern(3), np.eye(3, dtype=complex)[:1, None])[0])
+    assert top == np.abs(a0) > abs(c) / 3
     assert poly_norm(form, space, cfg).value >= top
 
 
@@ -1311,7 +1312,84 @@ def test_no_certificate_where_neither_bound_applies(field, m, p, d, seed):
         assert norms._certified_upper(form, p) is None
     if m >= 3:
         dense = random_form(np.random.default_rng(seed), m, d, field)
-        assert norms._certified_upper(dense, p) is None
+        if p == 1.0:
+            # at p = 1 the largest tensor entry bounds every form's norms
+            grid = grid_oracle(dense, SpaceSpec(p, d, field), resolution=16).value
+            assert grid <= norms._certified_upper(dense, p) * (1.0 + 1e-12)
+        else:
+            assert norms._certified_upper(dense, p) is None
+
+
+def _sparse_form(field, m, d, seed, keep):
+    """random_form(default_rng(seed), m, d, field) with each coefficient kept
+    with probability keep, at least one kept."""
+    rng = np.random.default_rng(seed)
+    form = random_form(rng, m, d, field)
+    mask = rng.random(len(form.coeffs)) < keep
+    mask[rng.integers(len(mask))] = True
+    return make_form(m, d, field, [kv for kv, k in zip(form.coeffs.items(), mask) if k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([REAL, COMPLEX]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.5]),
+    st.integers(0, 2**16),
+)
+def test_the_largest_tensor_entry_bounds_every_norm_at_p1(field, m, d, keep, seed):
+    # |L(x_1, ..., x_m)| <= max |a_beta| beta!/m! on the ell_1 ball, with
+    # equality at a vertex tuple, so it is the multilinear norm and bounds
+    # every pattern's norm.  Estimates can read above it by rounding: of the
+    # 50 complex (2, 1) poly estimates of `verify --p 1 --seed 3`, 24 did
+    # without the certificate stop, by up to 8.8e-16 relative, and 13 with
+    # it, by up to 4.4e-16
+    form = _sparse_form(field, m, d, seed, keep)
+    space, cfg = SpaceSpec(1.0, d, field), OptimizerConfig(restarts=4, seed=seed)
+    upper = norms._certified_upper(form, 1.0)
+    assert upper == form._tensor_top
+    # each tensor entry L(e_{i_1}, ..., e_{i_m}) by the exact sign average
+    eye = np.eye(d)
+    entries = [abs(polarize(form, [eye[i] for i in idx]))
+               for idx in itertools.product(range(d), repeat=m)]
+    assert upper == pytest.approx(max(entries), rel=1e-12, abs=0.0)
+    poly = poly_norm(form, space, cfg)
+    multi = multilinear_norm(form, space, cfg, poly=poly)
+    assert multi.value == pytest.approx(upper, rel=1e-12, abs=0.0)
+    patterns = {(m,), (m - 1, 1), (1,) * m} - {(0, 1)}
+    for pattern in patterns:
+        value = mixed_norm(form, space, pattern, cfg, poly=poly).value
+        assert value <= upper * (1.0 + 1e-12)
+        # the dense grid of the multilinear pattern grows as 47^m
+        if len(pattern) <= 2:
+            grid = grid_oracle(form, space, pattern, resolution=16).value
+            assert grid <= upper * (1.0 + 1e-12)
+    assert poly.value <= upper * (1.0 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([REAL, COMPLEX]), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+def test_the_largest_tensor_entry_of_a_pure_power_form_is_its_largest_coefficient(field, m,
+                                                                                   nonzero, seed):
+    # the weight of x_i^m is m!/m! = 1.0 exactly, so the two bounds agree to the bit
+    form, top = _pure_power_form(field, m, nonzero, seed)
+    assert form._tensor_top == form._pure_power_top == top
+    assert norms._certified_upper(form, 1.0) == top
+    assert zero_form(m, 3, field)._tensor_top is None
+    assert norms._certified_upper(zero_form(m, 3, field), 1.0) is None
+
+
+def test_complex_l1_reports_stop_at_the_largest_tensor_entry(monkeypatch):
+    # the first four forms of `verify --pattern 2,1 --field complex --p 1
+    # --seed 0`: without the p = 1 certificate their reports take 71 + 66 +
+    # 144 + 73 = 354 kernel calls, with it 24 + 24 + 18 + 24 = 90
+    rng = np.random.default_rng(0)
+    forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(4)]
+    calls = _count_kernel_calls(monkeypatch)
+    for form in forms:
+        ratio_report(form, SpaceSpec(1.0, 3, COMPLEX), (2, 1), OptimizerConfig(seed=0))
+    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 100
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
