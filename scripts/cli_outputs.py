@@ -3,8 +3,11 @@
 
 The commands cover all five subcommands, every --format and one usage
 error.  A command that names its own --format keeps it; every other runs
-under --format json.  For each command, OUTDIR gets <NN>-<subcommand>.<format>
-with its stdout and <NN>-<subcommand>.exit with its exit code.  Two trees
+under --format json.  Every command runs from the root of this script's
+tree, so a form file it names, such as scripts/complex_cubic.json, is
+this tree's file and its echoed path is the same whichever src/ runs.
+For each command, OUTDIR gets <NN>-<subcommand>.<format> with its stdout
+and <NN>-<subcommand>.exit with its exit code.  Two trees
 whose outputs should be byte-identical are compared by running this script
 against each tree's src/ and diffing the two directories:
 
@@ -51,15 +54,18 @@ COMMANDS = [
     "verify --pattern 2,1 --field real --p 1.5 --samples 5 --seed 4 --format table",
     "estimate --extremal product --pattern 2,1 --p 1.5 --format csv",
     "estimate --extremal product --pattern 2,1 --p 1.5 --format table",
+    "estimate --form scripts/complex_cubic.json --pattern 2,1 --p 1",
+    "estimate --form scripts/complex_cubic.json --pattern 2,1 --p 1 --format csv",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", type=Path)
-    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src/ directory to import polarnorm from (default: this tree's)")
     args = ap.parse_args()
 
@@ -78,7 +84,7 @@ def main() -> int:
         if "--format" not in argv:
             argv += ["--format", "json"]
         fmt = argv[argv.index("--format") + 1]
-        done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=env,
+        done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=env, cwd=ROOT,
                               capture_output=True, text=True)
         stem = args.outdir / f"{index:02d}-{argv[0]}"
         stem.with_suffix("." + fmt).write_text(done.stdout)

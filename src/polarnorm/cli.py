@@ -6,8 +6,9 @@ _report, the one report path: it adds the subcommand and seed to the echo,
 emits the {config, results, pass, version} report (or the rows, under
 --format csv or table) and maps pass to the exit code.  Only
 `extremal --out`, which writes a form file and its sidecar, returns
-without a report.  Numbers serialize with 17 significant digits so
-identical configurations (including the seed) emit byte-identical output.
+without a report.  A result object serializes by its own to_dict(), else
+by its dataclass fields; numbers with 17 significant digits, so identical
+configurations (including the seed) emit byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a path that
 cannot be read or written included).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -54,6 +56,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
+    """JSON with sorted keys; an object emits its own to_dict() if it has
+    one, a dataclass otherwise its fields by name."""
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -218,12 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    if args.seed < 0:
-        raise UsageError("seed must be a non-negative integer")
-    return OptimizerConfig(restarts=args.restarts, seed=args.seed, parallel=args.parallel)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -266,7 +268,7 @@ def _estimate_instance(args):
 
 
 def cmd_estimate(args) -> int:
-    config = _optimizer_config(args)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed, parallel=args.parallel)
     if args.extremal:
         instance = _estimate_instance(args)
         pattern, space = instance.pattern.multiplicities, instance.space
@@ -287,7 +289,7 @@ def cmd_estimate(args) -> int:
     if args.extremal:
         row["exact_ratio"] = rep.exact_ratio
     row["passed"] = rep.passed
-    return _report(args, echo, [rep.to_dict()], [row], rep.passed)
+    return _report(args, echo, [rep], [row], rep.passed)
 
 
 def verify_samples(forms, space: SpaceSpec, pattern, config: OptimizerConfig, slack: float):
@@ -330,7 +332,7 @@ def cmd_verify(args) -> int:
     # at slack <= -1 every check fails and at inf every check passes, whatever the ratios
     if not -1.0 < args.slack < math.inf:
         raise UsageError(f"slack must be finite and > -1, got {args.slack}")
-    config = _optimizer_config(args)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed, parallel=args.parallel)
     space = SpaceSpec(p, args.d, field)
     rng = np.random.default_rng(args.seed)
     forms = [random_form(rng, sum(pattern), args.d, field) for _ in range(args.samples)]
@@ -398,12 +400,12 @@ def cmd_table(args) -> int:
 
 def cmd_extremal(args) -> int:
     instance = _estimate_instance(args)
-    doc = instance.to_dict()
     if args.out:
         form_path = Path(args.out)
         save_form(instance.form, form_path)
         sidecar = form_path.with_name(form_path.name + ".sidecar.json")
-        sidecar.write_text(_json_dumps({k: v for k, v in doc.items() if k != "form"}) + "\n")
+        doc = {k: v for k, v in instance.to_dict().items() if k != "form"}
+        sidecar.write_text(_json_dumps(doc) + "\n")
         sys.stdout.write(f"{form_path}\n{sidecar}\n")
         return 0
     echo = {
@@ -418,7 +420,7 @@ def cmd_extremal(args) -> int:
         "exact_ratio": instance.exact_ratio,
         "witness_value": float(abs(instance.witness_mixed_value)),
     }
-    return _report(args, echo, [doc, {"written": []}], [row])
+    return _report(args, echo, [instance], [row])
 
 
 COMMANDS = {

@@ -88,11 +88,9 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     p = float(p)
     if math.isinf(p):
         raise FormError("block witnesses are defined for finite p only")
-    if p < 1.0:
-        raise FormError(f"p must be >= 1, got {p}")
     m = pat.m
-    form = product_form(m, m, field)
     space = SpaceSpec(p, m, field)
+    form = product_form(m, m, field)
     witnesses = []
     offset = 0
     for k in pat.multiplicities:
@@ -197,20 +195,6 @@ class InstanceReport:
     poly_error: Optional[float]
     ratio_error: Optional[float]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "poly": self.poly.to_dict(),
-            "mixed": self.mixed.to_dict(),
-            "ratio": self.ratio,
-            "witness_value": self.witness_value,
-            "exact_poly_norm": self.exact_poly_norm,
-            "exact_ratio": self.exact_ratio,
-            "poly_error": self.poly_error,
-            "ratio_error": self.ratio_error,
-            "passed": self.passed,
-        }
 
 
 # Relative tolerances of verify_instance against the stored exact values.

@@ -16,10 +16,9 @@ x_i^e, 0 <= e <= m.  A padding factor 1.0 changes no bit of a real product;
 of a complex one it can change only the sign of a zero part.
 
 A table of width 1 holds pure powers x_i^m only, as a diagonal form does.
-Such a form's largest coefficient modulus, _pure_power_top, bounds its
-norms at p <= m.  Any form's largest tensor entry modulus, _tensor_top,
-bounds its norms at p = 1; on a pure-power form the two are the same
-number, bit for bit.
+Any form's largest tensor entry modulus, _tensor_top, bounds its norms at
+p = 1; on a pure-power form it is the largest coefficient modulus, bit for
+bit, which bounds its norms at p <= m.
 """
 
 from __future__ import annotations
@@ -123,11 +122,6 @@ class SpaceSpec:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", int(self.dim))
 
-    @property
-    def conjugate(self) -> float:
-        """Conjugate exponent p' with 1/p + 1/p' = 1 (extended values)."""
-        return conjugate_exponent(self.p)
-
 
 def conjugate_exponent(p: float) -> float:
     """Conjugate exponent p' with 1/p + 1/p' = 1 (extended values)."""
@@ -212,17 +206,11 @@ class SymmetricForm:
         return rows, grad_rows, grad_weights, scatter
 
     @cached_property
-    def _pure_power_top(self):
-        """max |a_alpha| when the table has width 1, every monomial a pure
-        power x_i^m; None for any other form, the zero form included."""
-        return float(np.abs(self._values).max()) if self._table[0].shape[1] == 1 else None
-
-    @cached_property
     def _tensor_top(self):
         """max |a_beta| beta!/m!, the largest tensor entry modulus; None for
         the zero form.  Each weight beta!/m! is one correctly rounded integer
         ratio, so a pure power's weight is exactly 1.0 and a pure-power
-        form's value has the bits of _pure_power_top."""
+        form's value is its largest coefficient modulus, bit for bit."""
         if not self.coeffs:
             return None
         fact_m = math.factorial(self.degree)

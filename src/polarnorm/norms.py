@@ -102,8 +102,8 @@ class OptimizerConfig:
     together in lockstep, so parallel is accepted for compatibility and
     has no effect on what is computed or returned.  The tolerance applies
     to the relative objective change between accepted iterates.  tol and
-    init_step must be positive, init_step finite, and max_iter at least 0;
-    NormError otherwise.
+    init_step must be positive, init_step finite, and max_iter and seed at
+    least 0; NormError otherwise.
     """
 
     restarts: int = 32
@@ -119,6 +119,8 @@ class OptimizerConfig:
             raise NormError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 0:
             raise NormError(f"max_iter must be >= 0, got {self.max_iter}")
+        if self.seed < 0:
+            raise NormError(f"seed must be >= 0, got {self.seed}")
         # NaN fails these comparisons: a NaN tol never converges a start, and
         # a NaN step never ascends
         if not self.tol > 0:
@@ -554,7 +556,8 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
       multilinear norm, and for a pure-power form it is max|a_i|.
     - Width 1, P = sum_i a_i x_i^m, p <= m: |L| <= max|a_i| sum_i prod_j
       |x_{j,i}|^{k_j} <= max|a_i| prod_j ||x_j||_m^{k_j} <= max|a_i|, by
-      Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.
+      Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.  The weight
+      m!/m! of x_i^m is exactly 1.0, so the tensor top is max|a_i| bit for bit.
     - m = 2, p = 2: L(x, y) = x^T A y with A_ii = a_{2e_i} and
       A_ij = A_ji = a_{e_i+e_j} / 2, so every pattern's norm is the largest
       singular value of A: max|lambda| for real A, the Takagi value for
@@ -562,11 +565,8 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
     The first is attained by the multilinear pattern at a vertex tuple; the
     other two by every pattern, at an axis and at a singular vector.
     """
-    if p == 1.0:
+    if p == 1.0 or (form._table[0].shape[1] == 1 and p <= form.degree):
         return form._tensor_top
-    top = form._pure_power_top
-    if top is not None and p <= form.degree:
-        return top
     if form.degree == 2 and p == 2.0:
         A = np.zeros((form.dim, form.dim), dtype=complex if form.field == COMPLEX else float)
         for alpha, a in form.coeffs.items():
@@ -774,9 +774,6 @@ class BoundCheck:
     passed: bool
     sharp: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "bound": self.bound, "passed": self.passed, "sharp": self.sharp}
-
 
 @dataclass
 class RatioReport:
@@ -791,19 +788,6 @@ class RatioReport:
     checks: list[BoundCheck]
     slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern": list(self.pattern),
-            "p": self.p,
-            "field": self.field,
-            "mixed": self.mixed.to_dict(),
-            "poly": self.poly.to_dict(),
-            "ratio": self.ratio,
-            "checks": [c.to_dict() for c in self.checks],
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 def ratio_report(

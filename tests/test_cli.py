@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarnorm.cli import main, verify_samples, _parse_p, _parse_pattern, UsageError
-from polarnorm.forms import SpaceSpec, zero_form, random_form
-from polarnorm.norms import OptimizerConfig
+from polarnorm.extremals import InstanceReport
+from polarnorm.forms import SpaceSpec, zero_form, random_form, save_form
+from polarnorm.norms import BoundCheck, OptimizerConfig, RatioReport
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +351,7 @@ def test_bounds_real_large_degree(capsys, k):
         ("table", "--markov", "--m", "4", "--k", "2", "--field", "real", "--p", "nan",
          "--format", "json"),
         ("verify", "--pattern", "2,1", "--p", "nan"),
+        ("verify", "--pattern", "2,1", "--seed", "-1"),
     ],
 )
 def test_bad_numeric_flags_exit_2(capsys, argv):
@@ -448,6 +451,29 @@ def test_report_contract(capsys, argv):
     csv_lines, table_lines = csv_out.splitlines(), table_out.splitlines()
     assert csv_lines[0].split(",") == table_lines[0].split()
     assert len(csv_lines) == len(table_lines)
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_result_entries_carry_the_report_fields(capsys, tmp_path):
+    save_form(random_form(np.random.default_rng(0), 3, 3, "complex"), tmp_path / "f.json")
+    estimate = ("estimate", "--pattern", "2,1", "--p", "1", "--restarts", "4", "--format", "json")
+    _, out, _ = run_cli(capsys, *estimate, "--form", str(tmp_path / "f.json"))
+    (entry,) = json.loads(out)["results"]
+    assert set(entry) == _field_names(RatioReport)
+    assert entry["checks"] and all(set(c) == _field_names(BoundCheck) for c in entry["checks"])
+    estimate_keys = {"value", "witnesses", "method", "starts_converged"}
+    assert set(entry["poly"]) == set(entry["mixed"]) == estimate_keys
+    _, out, _ = run_cli(capsys, "estimate", "--extremal", "real44", "--restarts", "4",
+                        "--format", "json")
+    (entry,) = json.loads(out)["results"]
+    assert set(entry) == _field_names(InstanceReport)
+    # the instance document is the extremal report's only entry
+    _, out, _ = run_cli(capsys, "extremal", "--extremal", "real44", "--format", "json")
+    (entry,) = json.loads(out)["results"]
+    assert entry["name"] == "real44" and "form" in entry
 
 
 def test_json_uses_string_inf(capsys):

@@ -15,6 +15,7 @@ from polarnorm.forms import (
     _coordinate_coeffs,
     complexify_eval,
     complexify_form,
+    conjugate_exponent,
     eval_mixed,
     eval_mixed_grad,
     eval_poly,
@@ -59,11 +60,11 @@ def test_pattern_validation():
         Pattern(())
 
 
-def test_space_conjugate_exponent():
-    assert SpaceSpec(1.0, 3).conjugate == math.inf
-    assert SpaceSpec(math.inf, 3).conjugate == 1.0
-    assert SpaceSpec(2.0, 3).conjugate == 2.0
-    assert SpaceSpec(4.0, 3).conjugate == pytest.approx(4.0 / 3.0)
+def test_conjugate_exponent():
+    assert conjugate_exponent(1.0) == math.inf
+    assert conjugate_exponent(math.inf) == 1.0
+    assert conjugate_exponent(2.0) == 2.0
+    assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0)
     with pytest.raises(FormError):
         SpaceSpec(0.5, 3)
 
@@ -351,17 +352,20 @@ def test_table_compiles_rows_to_the_widest_support():
         assert random_form(rng, m, d)._table[0].shape[1] == min(m, d)
 
 
-def test_pure_power_top_is_the_largest_coefficient_modulus_at_width_one():
+def test_the_width_one_certificate_is_the_largest_coefficient_modulus():
     from polarnorm.extremals import nonattaining_bilinear, real44_form
+    from polarnorm.norms import _certified_upper
 
-    assert nonattaining_bilinear(5).form._pure_power_top == 5 / 6
+    assert _certified_upper(nonattaining_bilinear(5).form, 1.5) == 5 / 6
     pure = make_form(3, 3, COMPLEX, [((3, 0, 0), 1 - 2j), ((0, 0, 3), -2.0)])
-    assert pure._pure_power_top == np.abs(1 - 2j)
+    assert _certified_upper(pure, 1.5) == np.abs(1 - 2j)
     # every linear form is a sum of pure powers x_i^1
-    assert random_form(np.random.default_rng(3), 1, 4)._pure_power_top is not None
-    assert real44_form().form._pure_power_top is None
-    assert random_form(np.random.default_rng(3), 2, 2)._pure_power_top is None
-    assert zero_form(2, 3)._pure_power_top is None
+    linear = random_form(np.random.default_rng(3), 1, 4)
+    assert linear._table[0].shape[1] == 1
+    assert _certified_upper(linear, 1.0) == np.abs(linear._values).max()
+    assert _certified_upper(real44_form().form, 1.5) is None
+    assert _certified_upper(random_form(np.random.default_rng(3), 2, 2), 1.5) is None
+    assert _certified_upper(zero_form(2, 3), 1.5) is None
 
 
 def _padded_eval_grad(form, points):
