@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run a fixed set of fixed-seed CLI commands and write what each printed.
 
-The commands cover all five subcommands, every --format and one usage
-error.  A command that names its own --format keeps it; every other runs
+The commands cover all five subcommands, every --format and three usage
+errors: a missing --pattern, a source flag its source does not read, and
+a flag its subcommand does not take.  A command that names its own --format keeps it; every other runs
 under --format json.  Every command runs from the root of this script's
 tree, so a form file it names, such as scripts/complex_cubic.json, is
 this tree's file and its echoed path is the same whichever src/ runs.
@@ -56,6 +57,8 @@ COMMANDS = [
     "estimate --extremal product --pattern 2,1 --p 1.5 --format table",
     "estimate --form scripts/complex_cubic.json --pattern 2,1 --p 1",
     "estimate --form scripts/complex_cubic.json --pattern 2,1 --p 1 --format csv",
+    "estimate --extremal nonattaining --n 9 --p 1",
+    "bounds --pattern 2,1 --restarts 5",
 ]
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -23,9 +23,6 @@ EXACT_DEGREE_LIMIT = 18
 SHARP_PATTERN_REGISTRY = {
     (REAL, (2, 2)): (3.0, "two-square-difference witness on sup-norm R^4"),
 }
-EXACT_HOMOGENEOUS_MARKOV = {
-    (4, 2): (36.0, "two-square-difference witness on sup-norm R^4"),
-}
 
 
 class BoundError(ValueError):
@@ -527,24 +524,21 @@ class MarkovRange:
 def real_markov_range(m: int, k: int) -> MarkovRange:
     """Brackets for the smallest real Markov constants of degree-m polynomials.
 
-    Lower ends are the complex sharp values; upper ends combine the
-    derivative identity with the square-root mixed bound.  Values beyond
-    the float range are inf.
+    Lower ends are the complex sharp values; upper ends are the lower ends
+    times C(m,k) sqrt(k^k (m-k)^(m-k) / m^m) >= 1 (derivative identity and
+    square-root mixed bound), never below them, and inf past the float range.
+    M = k! C(m,k) K(m-k, k) is exact where K is a registered sharp constant.
     """
     homog, full = markov_complex_any(k, m)
     mk = m - k
     if m <= EXACT_DEGREE_LIMIT:
-        mk_pow = mk**mk if mk > 0 else 1  # 0^0 := 1
-        root = math.sqrt(m**m / (mk_pow * k**k))
-        homog_upper = math.comb(m, k) * math.factorial(k) * root
-        full_upper = math.comb(m, k) * math.sqrt(m**m * k**k / mk_pow)
+        factor = math.sqrt(Fraction(math.comb(m, k) ** 2 * k**k * mk**mk, m**m))  # 0^0 = 1
     else:
-        log_root = 0.5 * (m * math.log(m) - _xlogx(mk) - _xlogx(k))
-        log_full = 0.5 * (m * math.log(m) + _xlogx(k) - _xlogx(mk))
-        homog_upper = _or_inf(lambda: math.comb(m, k) * math.factorial(k) * math.exp(log_root))
-        full_upper = _or_inf(lambda: math.comb(m, k) * math.exp(log_full))
-    exact = EXACT_HOMOGENEOUS_MARKOV.get((m, k), (None, None))[0]
-    return MarkovRange(m, k, homog.value, homog_upper, full.value, full_upper, exact)
+        log_factor = math.log(math.comb(m, k)) + 0.5 * (_xlogx(k) + _xlogx(mk) - m * math.log(m))
+        factor = _or_inf(lambda: math.exp(log_factor))
+    sharp = SHARP_PATTERN_REGISTRY.get((REAL, tuple(sorted((mk, k)))))
+    exact = math.factorial(k) * math.comb(m, k) * sharp[0] if sharp else None
+    return MarkovRange(m, k, homog.value, homog.value * factor, full.value, full.value * factor, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Command-line front end: bound tables, norm estimation, verification suites.
 
-Subcommands: bounds | estimate | verify | table | extremal.  Each one
-computes its config echo, results and table rows and returns through
-_report, the one report path: it adds the subcommand and seed to the echo,
-emits the {config, results, pass, version} report (or the rows, under
---format csv or table) and maps pass to the exit code.  Only
-`extremal --out`, which writes a form file and its sidecar, returns
-without a report.  A result object serializes by its own to_dict(), else
-by its dataclass fields; numbers with 17 significant digits, so identical
-configurations (including the seed) emit byte-identical output.
+Subcommands: bounds | estimate | verify | table | extremal.  Each takes
+only the flags it reads, spelled in full; it computes its config echo,
+results and table rows and returns through _report, the one report path:
+it adds the subcommand and seed to the echo, emits the
+{config, results, pass, version} report (or the rows, under --format csv
+or table) and maps pass to the exit code.  Only `extremal --out`, which
+writes a form file and its sidecar, returns without a report.  A result
+object serializes by its own to_dict(), else by its dataclass fields;
+numbers with 17 significant digits, so identical configurations (including
+the seed) emit byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a path that
 cannot be read or written included).
 """
@@ -174,43 +175,46 @@ def _p_echo(p: Optional[float]):
     return "inf" if math.isinf(p) else p
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pattern", help="comma-separated multiplicities, e.g. 2,1")
-    sub.add_argument("--p", help="exponent in [1, inf]; 'inf' and 'oo' accepted")
-    sub.add_argument("--field", choices=[REAL, COMPLEX], help="scalar field")
-    sub.add_argument("--form", help="path to a form file")
-    sub.add_argument("--extremal", help="built-in instance: product | real44 | nonattaining")
-    sub.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
-    sub.add_argument("--restarts", type=int, default=32, help="random restarts per estimate")
-    sub.add_argument("--parallel", action="store_true",
-                     help="accepted for compatibility; has no effect")
-    sub.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    sub.add_argument("--out", help="write the report to this path instead of stdout")
+# The flags of more than one subcommand; --seed, --format and --out go on all five.
+SHARED_FLAGS = {
+    "--pattern": dict(help="comma-separated multiplicities, e.g. 2,1"),
+    "--p": dict(help="exponent in [1, inf]; 'inf' and 'oo' accepted"),
+    "--field": dict(choices=[REAL, COMPLEX], help="scalar field"),
+    "--extremal": dict(help="built-in instance: product | real44 | nonattaining"),
+    "--n": dict(type=int, help="size for the nonattaining instance (default 9)"),
+    "--restarts": dict(type=int, default=32, help="random restarts per estimate"),
+    "--parallel": dict(action="store_true", help="accepted for compatibility; has no effect"),
+    "--seed": dict(type=int, default=0, help="optimizer seed (default 0)"),
+    "--format": dict(choices=["json", "csv", "table"], default="table"),
+    "--out": dict(help="write the report to this path instead of stdout"),
+}
+
+
+def _add_command(subs, name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)  # one spelling per flag
+    for flag in (*flags, "--seed", "--format", "--out"):
+        sub.add_argument(flag, **SHARED_FLAGS[flag])
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarnorm",
         description="polarization constants and polynomial norm estimates on ell_p spaces",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = subs.add_parser("bounds", help="every applicable constant for a pattern")
-    _add_common(p_bounds)
-
-    p_est = subs.add_parser("estimate", help="estimate norms and the mixed/poly ratio")
-    _add_common(p_est)
-    p_est.add_argument("--n", type=int, default=9, help="size for the nonattaining instance")
-
-    p_ver = subs.add_parser("verify", help="randomized bound-dominance suite")
-    _add_common(p_ver)
+    _add_command(subs, "bounds", "every applicable constant for a pattern", "--pattern", "--p", "--field")
+    p_est = _add_command(subs, "estimate", "estimate norms and the mixed/poly ratio", "--pattern",
+                         "--p", "--field", "--extremal", "--n", "--restarts", "--parallel")
+    p_est.add_argument("--form", help="path to a form file")
+    p_ver = _add_command(subs, "verify", "randomized bound-dominance suite",
+                         "--pattern", "--p", "--field", "--restarts", "--parallel")
     p_ver.add_argument("--samples", type=int, default=50, help="number of random forms")
     p_ver.add_argument("--d", type=int, default=3, help="ambient dimension")
     p_ver.add_argument("--slack", type=float, default=DEFAULT_BOUND_SLACK)
-
-    p_tab = subs.add_parser("table", help="Markov / Chebyshev / asymptotic tables")
-    _add_common(p_tab)
+    p_tab = _add_command(subs, "table", "Markov / Chebyshev / asymptotic tables", "--p", "--field")
     p_tab.add_argument("--chebyshev", action="store_true", help="derivative constants for degree m")
     p_tab.add_argument("--asymptotic", action="store_true", help="growth of the bound along m")
     p_tab.add_argument("--markov", action="store_true", help="derivative constants at (m, k)")
@@ -218,11 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--k", type=int, help="derivative order")
     p_tab.add_argument("--n", type=int, default=2, help="number of equal blocks")
     p_tab.add_argument("--m-max", type=int, default=200, dest="m_max")
-
-    p_ext = subs.add_parser("extremal", help="emit a built-in instance as form file + sidecar")
-    _add_common(p_ext)
-    p_ext.add_argument("--n", type=int, default=9, help="size for the nonattaining instance")
-
+    _add_command(subs, "extremal", "emit a built-in instance as form file + sidecar",
+                 "--pattern", "--p", "--field", "--extremal", "--n")
     return parser
 
 
@@ -252,19 +253,35 @@ def cmd_bounds(args) -> int:
     return _report(args, {"pattern": list(pattern), "p": _p_echo(p), "field": field}, results, rows)
 
 
+# The source flags each source reads; a given one that its source does not read is a usage error.
+SOURCE_FLAGS = {
+    "--extremal product": ("pattern", "p", "field"),
+    "--extremal real44": (),
+    "--extremal nonattaining": ("n",),
+    "--form": ("form", "pattern", "p"),  # the file sets its own field
+}
+
+
+def _refuse_unread_flags(args, source: str) -> None:
+    unread = [f"--{flag}" for flag in ("form", "pattern", "p", "field", "n")
+              if flag not in SOURCE_FLAGS[source] and getattr(args, flag, None) is not None]
+    if unread:
+        raise UsageError(f"{source} does not read {', '.join(unread)}")
+
+
 def _estimate_instance(args):
     name = args.extremal
+    if f"--extremal {name}" not in SOURCE_FLAGS:
+        raise UsageError(f"unknown extremal {name!r}; choose product | real44 | nonattaining")
+    _refuse_unread_flags(args, f"--extremal {name}")
     if name == "product":
         if not args.pattern or not args.p:
             raise UsageError("the product instance needs --pattern and --p")
-        return product_extremal(
-            _parse_pattern(args.pattern), _parse_p(args.p), field=args.field or REAL
-        )
+        pattern, p = _parse_pattern(args.pattern), _parse_p(args.p)
+        return product_extremal(pattern, p, field=args.field or REAL)
     if name == "real44":
         return real44_form()
-    if name == "nonattaining":
-        return nonattaining_bilinear(args.n)
-    raise UsageError(f"unknown extremal {name!r}; choose product | real44 | nonattaining")
+    return nonattaining_bilinear(9 if args.n is None else args.n)
 
 
 def cmd_estimate(args) -> int:
@@ -275,6 +292,7 @@ def cmd_estimate(args) -> int:
         rep = verify_instance(instance, config)
         echo, row = {"extremal": instance.name}, {"name": instance.name}
     elif args.form:
+        _refuse_unread_flags(args, "--form")
         if not args.pattern:
             raise UsageError("estimating a form file needs --pattern")
         form = load_form(args.form)

@@ -178,6 +178,17 @@ def test_real_markov_range():
     assert r.homogeneous_lower == pytest.approx(math.factorial(5))
 
 
+def test_real_markov_brackets_are_ordered():
+    # at k = m the two ends are equal in exact arithmetic; they rounded apart, inverted
+    for m in range(1, 301):
+        for k in range(1, m + 1):
+            r = real_markov_range(m, k)
+            assert r.homogeneous_lower <= r.homogeneous_upper, (m, k)
+            assert r.full_lower <= r.full_upper, (m, k)
+        r = real_markov_range(m, m)
+        assert r.homogeneous_upper == r.homogeneous_lower and r.full_upper == r.full_lower, m
+
+
 # ---------------------------------------------------------------------------
 # classical one-variable constants
 

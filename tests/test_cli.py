@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarnorm.cli import main, verify_samples, _parse_p, _parse_pattern, UsageError
+from polarnorm.cli import main, verify_samples, _build_parser, _parse_p, _parse_pattern, UsageError
 from polarnorm.extremals import InstanceReport
 from polarnorm.forms import SpaceSpec, zero_form, random_form, save_form
 from polarnorm.norms import BoundCheck, OptimizerConfig, RatioReport
@@ -46,6 +47,74 @@ def test_unparseable_pattern_exit_2(capsys):
     code, _, err = run_cli(capsys, "bounds", "--pattern", "2,zebra", "--field", "real")
     assert code == 2
     assert "pattern" in err
+
+
+# Each subcommand's flags besides -h, --seed, --format and --out.
+COMMAND_FLAGS = {
+    "bounds": {"--pattern", "--p", "--field"},
+    "estimate": {"--pattern", "--p", "--field", "--form", "--extremal", "--n", "--restarts",
+                 "--parallel"},
+    "verify": {"--pattern", "--p", "--field", "--restarts", "--parallel", "--samples", "--d",
+               "--slack"},
+    "table": {"--p", "--field", "--chebyshev", "--asymptotic", "--markov", "--m", "--k", "--n",
+              "--m-max"},
+    "extremal": {"--pattern", "--p", "--field", "--extremal", "--n"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert flags == {name: own | {"--seed", "--format", "--out"} for name, own in COMMAND_FLAGS.items()}
+    assert sum(map(len, flags.values())) == 48
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--pattern", "2", "--restarts", "5"),
+    ("bounds", "--pattern", "2", "--form", "f.json"),
+    ("table", "--chebyshev", "--m", "3", "--pattern", "2"),
+    ("table", "--chebyshev", "--m", "3", "--extremal", "real44"),
+    ("verify", "--pattern", "2", "--samples", "1", "--form", "json"),
+    ("verify", "--pattern", "2", "--samples", "1", "--extremal", "real44"),
+    ("extremal", "--extremal", "real44", "--parallel"),
+    ("extremal", "--extremal", "real44", "--restarts", "4"),
+    ("verify", "--pat", "2", "--samples", "1"),
+    ("estimate", "--extremal", "real44", "--res", "4"),
+    ("table", "--cheb", "--m", "3"),
+], ids=lambda argv: "-".join(argv))
+def test_a_flag_the_subcommand_does_not_read_or_an_abbreviation_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--extremal", "nonattaining", "--n", "3", "--p", "1", "--pattern", "2"),
+    ("estimate", "--form", "scripts/complex_cubic.json", "--pattern", "2,1", "--p", "1",
+     "--field", "real"),
+    ("estimate", "--form", "scripts/complex_cubic.json", "--pattern", "2,1", "--n", "4"),
+    ("extremal", "--extremal", "real44", "--p", "1"),
+    ("estimate", "--extremal", "real44", "--field", "complex"),
+    ("estimate", "--extremal", "product", "--pattern", "2,1", "--p", "1", "--n", "4"),
+    ("estimate", "--extremal", "product", "--pattern", "2,1", "--p", "1",
+     "--form", "scripts/complex_cubic.json"),
+])
+def test_a_source_flag_its_source_does_not_read_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "does not read" in err
+
+
+def test_the_nonattaining_instance_has_size_9_without_n(capsys):
+    code, out, _ = run_cli(capsys, "extremal", "--extremal", "nonattaining", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["exact_poly_norm"] == pytest.approx(0.9)
 
 
 # ---------------------------------------------------------------------------
