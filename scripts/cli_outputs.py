@@ -8,7 +8,9 @@ under --format json.  Every command runs from the root of this script's
 tree, so a form file it names, such as scripts/complex_cubic.json, is
 this tree's file and its echoed path is the same whichever src/ runs.
 For each command, OUTDIR gets <NN>-<subcommand>.<format> with its stdout
-and <NN>-<subcommand>.exit with its exit code.  Two trees
+and <NN>-<subcommand>.exit with its exit code, and a usage error (exit 2)
+also <NN>-<subcommand>.err with its stderr, so the usage text is compared
+too; every command runs with COLUMNS=80, argparse's wrap width.  Two trees
 whose outputs should be byte-identical are compared by running this script
 against each tree's src/ and diffing the two directories:
 
@@ -75,7 +77,7 @@ def main() -> int:
     if not (args.src / "polarnorm").is_dir():
         ap.error(f"no polarnorm package under {args.src}")
     src = args.src.resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     # an installed copy of polarnorm must not shadow the tree under test
     found = subprocess.run([sys.executable, "-c", "import polarnorm; print(polarnorm.__file__)"],
                            env=env, capture_output=True, text=True, check=True).stdout.strip()
@@ -92,6 +94,8 @@ def main() -> int:
         stem = args.outdir / f"{index:02d}-{argv[0]}"
         stem.with_suffix("." + fmt).write_text(done.stdout)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
+        if done.returncode == 2:
+            stem.with_suffix(".err").write_text(done.stderr)
         print(f"{stem.name}: exit {done.returncode}: {command}")
         if done.returncode not in (0, 1):
             sys.stderr.write(done.stderr)

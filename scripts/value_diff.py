@@ -11,11 +11,12 @@ leaf is one of:
                  one tree lacks, or a number that is not finite
     exit         a changed exit code
 
-JSON outputs are walked key by key; csv and table outputs cell by cell,
-each cell named by its line and column header.  The script prints one row
-per command with its counts and its worst case, the largest relative change
-of a number, and exits 0 whatever differs, so it reports next to
-`diff -r` and never stands in for it:
+A changed usage error (a .err file) is one non-numeric change, shown by
+its last line, the error itself.  JSON outputs are walked key by key; csv
+and table outputs cell by cell, each cell named by its line and column
+header.  The script prints one row per command with its counts and its
+worst case, the largest relative change of a number, and exits 0 whatever
+differs, so it reports next to `diff -r` and never stands in for it:
 
     python scripts/value_diff.py out-base out-head
 
@@ -120,6 +121,9 @@ def compare_file(name: str, old: str | None, new: str | None):
     suffix = Path(name).suffix
     if suffix == ".exit":
         return [] if old == new else [(name, "exit", None, old.strip(), new.strip())]
+    if suffix == ".err":
+        last = [text.strip().rpartition("\n")[2] for text in (old, new)]
+        return [] if old == new else [(name, "non-numeric", None, *last)]
     return [(path, *classify(a, b), a, b)
             for path, a, b in _leaves(_parsed(old, suffix), _parsed(new, suffix), name)]
 

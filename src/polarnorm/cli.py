@@ -194,6 +194,8 @@ def _add_command(subs, name: str, help: str, *flags: str) -> argparse.ArgumentPa
     sub = subs.add_parser(name, help=help, allow_abbrev=False)  # one spelling per flag
     for flag in (*flags, "--seed", "--format", "--out"):
         sub.add_argument(flag, **SHARED_FLAGS[flag])
+    # main reports a flag the subcommand does not take through its own usage line
+    sub.set_defaults(usage_error=sub.error)
     return sub
 
 
@@ -451,8 +453,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         # a form whose values overflow raises NormError; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -41,8 +41,11 @@ modulus max|a_beta| beta!/m! at p = 1 (the multilinear norm there, since
 L is linear in each slot and the ell_1 ball's extreme points are unit
 multiples of axes), max|a_i| for a pure-power form sum_i a_i x_i^m at
 p <= m, and the largest singular value of the coefficient matrix for a
-quadratic at p = 2.  The ascent ends after the first sweep whose best
-value reaches that bound, compared exactly, with no slack.
+quadratic at p = 2.  The ascent ends once its best value reaches that
+bound, compared exactly, with no slack: before any backtracking move
+(gradient or coordinate) and at the end of each sweep, so a start that
+meets the bound before the first move ends the ascent before any ladder
+is walked, and an all-linear pattern after its first exact sweep.
 starts_converged still counts only the starts that met tol.
 """
 
@@ -498,9 +501,11 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     (values (S,), xs (S, n, d), converged (S,)).
 
     converged marks the starts that met tol.  With upper, a proven upper
-    bound on every value, all starts stop at the end of the first sweep
-    whose best value is at least upper; those still iterating stay
-    unconverged.
+    bound on every value, all starts stop as soon as the best value is at
+    least upper, tested on fresh values before each backtracking move and
+    at the end of each sweep; those still iterating stay unconverged.  No
+    test precedes an exact dual_align move, so an all-linear pattern stops
+    at the end of its first sweep at the earliest.
 
     The starts still iterating (act) make each move together, and each move
     evaluates the batch xs[act] it reads; every start keeps its own step
@@ -528,6 +533,8 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
             if stale:
                 vals[act] = _values(form, pat, xs[act])
                 stale = False
+            if upper is not None and vals.max() >= upper:
+                return vals, xs, converged
             if real_sup:
                 _coordinate_moves(form, pat, j, xs, vals, act)
             else:

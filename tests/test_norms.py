@@ -760,21 +760,20 @@ def test_complex_l1_estimate_keeps_the_value_of_its_axis_start():
     # a_0 x_0^3 on complex ell_1^3: the axis start e_0 attains |a_0| exactly.
     # After 500 sweeps a start at a unit multiple of e_0 with
     # ||x||_1 = 1 + 2.2e-16 scores 4.4e-16 higher, wins, and after
-    # renormalization returns 2.2e-16 less; the certificate |a_0| stops the
-    # ascent after the first sweep, before that start overtakes
+    # renormalization returns 2.2e-16 less; the axis start meets the
+    # certificate |a_0| before any move, so the ascent stops there
     form, top = _pure_power_form(COMPLEX, 3, 1, 38)
     value = poly_norm(form, SpaceSpec(1.0, 3, COMPLEX), OptimizerConfig(restarts=4, seed=38)).value
     assert value >= top
 
 
-@pytest.mark.xfail(strict=True, reason="the best start is chosen by its value before the "
-                   "final renormalization, which can cost it ulps of norm and of value")
 def test_complex_l1_estimate_of_a_width_2_form_keeps_the_value_of_its_axis_start():
     # P = a_0 x_0^3 + c x_1 x_2^2 on complex ell_1^3 has width 2.  Its norm is
     # max(|a_0|, |c| / 3) = |a_0|, attained by the axis start e_0, and the
-    # largest tensor entry certifies it.  The last random start ends the
-    # first sweep at ||x||_1 = 1 + 2.2e-16, one ulp above |a_0|, meets the
-    # certificate, wins, and after renormalization returns 5.6e-16 less
+    # largest tensor entry certifies it.  The axis start meets it before any
+    # move, so the ascent stops there; a sweep would take the last random
+    # start to ||x||_1 = 1 + 2.2e-16, one ulp above |a_0|, and that start
+    # would win and lose 5.6e-16 to the final renormalization
     rng = np.random.default_rng(3005)
     a0, c = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)) / 50
     form = make_form(3, 3, COMPLEX, [((3, 0, 0), a0), ((0, 1, 2), c)])
@@ -1189,8 +1188,9 @@ def test_nonattaining_instance_evaluates_values_alone_rarely(monkeypatch):
 
     calls = _count_kernel_calls(monkeypatch)
     verify_instance(nonattaining_bilinear(9))
-    # the certificate stops both estimates after one sweep: 11 eval_batch and
-    # 3 eval_grad_batch calls, each move evaluating the batch it reads.
+    # the certificate stops the poly estimate before its first gradient move
+    # and the multilinear one after its first sweep: 6 eval_batch and 2
+    # eval_grad_batch calls, each move evaluating the batch it reads.
     # Without the certificate all 500 + 500 sweeps take 985 and 1452, and
     # carrying evaluations from move to move took 36 and 1483
     assert calls["eval_batch"] <= 40
@@ -1396,17 +1396,30 @@ def test_complex_l1_reports_stop_at_the_largest_tensor_entry(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field):
+def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, monkeypatch):
     pat = as_pattern((2, 1))
     form = random_form(np.random.default_rng(61), 3, 3, field)
     cfg = OptimizerConfig(restarts=4, seed=5)
     starts = _starts(form, SpaceSpec(1.5, 3, field), pat, cfg, (), None)
     one_sweep = _block_ascent(form, 1.5, pat, starts, replace(cfg, max_iter=1))
     leader = one_sweep[0].max()
-    # met exactly, or by any value at all: never before the first sweep
-    for upper in (leader, 0.0):
-        for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=upper), one_sweep):
-            _assert_bitwise_equal(a, b)
+    # met exactly by the first sweep's best value: the ascent stops after it
+    for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=leader), one_sweep):
+        _assert_bitwise_equal(a, b)
+    # met by a start before any backtracking move: the sphere-moved starts
+    # come back as evaluated, none converged, with no kernel call after the
+    # first evaluation
+    moved = _sphere_move(starts.reshape(-1, 3), 1.5).reshape(starts.shape)
+    first = _values(form, pat, moved)
+    assert first.max() < leader
+    calls = _count_kernel_calls(monkeypatch)
+    for upper in (first.max(), np.nextafter(first.max(), -np.inf), 0.0):
+        calls.update(eval_batch=0, eval_grad_batch=0)
+        vals, xs, converged = _block_ascent(form, 1.5, pat, starts, cfg, upper=upper)
+        assert calls == {"eval_batch": 1, "eval_grad_batch": 0}
+        _assert_bitwise_equal(vals, first)
+        _assert_bitwise_equal(xs, moved)
+        assert not converged.any()
     # the other starts climb on for more sweeps, but none passes the leader:
     # an ulp above it, or infinity, is never met, and nothing stops early
     unbounded = _block_ascent(form, 1.5, pat, starts, cfg)
@@ -1421,10 +1434,49 @@ def test_nonattaining_instance_stops_at_its_certificate(monkeypatch):
 
     calls = _count_kernel_calls(monkeypatch)
     verify_instance(nonattaining_bilinear(49))
-    # the axis start e_49 attains the certificate max a_i = 49/50 before the
-    # first sweep, so both estimates stop after it: 14 + 4 kernel calls,
-    # against 16 + 1503 for all 500 + 500 sweeps
-    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 24
+    # the axis start e_49 attains the certificate max a_i = 49/50 before any
+    # move, so the poly estimate stops before its first gradient move and the
+    # multilinear one, whose moves are exact, after its first sweep: 6 + 2
+    # kernel calls, against 17 + 3 when every start first walked its ladder
+    # and 16 + 1503 for all 500 + 500 sweeps
+    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 8
+
+
+def _axis_dominated_form(source, field, m, seed):
+    """a x_0^m + Q(x_1, x_2) / 10 on K^3 for one certificate source:
+    Q is a random form of degree m for the largest tensor entry at p = 1,
+    b_1 x_1^m + b_2 x_2^m for Hoelder at p = 1.5, and a random quadratic
+    for sigma_max at p = 2."""
+    rng = np.random.default_rng(seed)
+    if source == "sigma_max":
+        m = 2
+    q = random_form(rng, m, 2, field)
+    if source == "hoelder":
+        q = make_form(m, 2, field, [(al, a) for al, a in q.coeffs.items() if max(al.exponents) == m])
+    a = complex(*rng.standard_normal(2)) if field == COMPLEX else rng.standard_normal()
+    terms = [((m, 0, 0), a)]
+    terms += [((0,) + al.exponents, c / 10) for al, c in q.coeffs.items()]
+    return make_form(m, 3, field, terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([REAL, COMPLEX]), st.integers(2, 4), st.integers(0, 2**16))
+@pytest.mark.parametrize("source,p", [("tensor_top", 1.0), ("hoelder", 1.5), ("sigma_max", 2.0)])
+def test_an_axis_start_that_meets_the_certificate_stops_the_estimate_before_any_move(
+        source, p, field, m, seed):
+    form = _axis_dominated_form(source, field, m, seed)
+    # width 1 takes the Hoelder case at p <= m, so sigma_max needs width 2
+    assert (form._table[0].shape[1] == 1) == (source == "hoelder")
+    upper = norms._certified_upper(form, p)
+    e0 = np.eye(3, dtype=complex if field == COMPLEX else float)[:1, None]
+    axis = _values(form, as_pattern(form.degree), e0)[0]
+    # Q / 10 can outweigh a, and sigma_max can round an ulp above |a|
+    assume(axis >= upper)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_kernel_calls(mp)
+        value = poly_norm(form, SpaceSpec(p, 3, field), OptimizerConfig(restarts=4, seed=seed)).value
+    assert calls["eval_grad_batch"] == 0
+    assert value == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [9, 49])
@@ -1435,9 +1487,10 @@ def test_the_certificate_stop_leaves_the_nonattaining_estimates_as_they_were(mon
     stopped = verify_instance(instance)
     monkeypatch.setattr(norms, "_certified_upper", lambda form, p: None)
     full = verify_instance(instance)
+    # the poly estimate stops before any move, so no start has met tol
+    assert stopped.poly.starts_converged == 0
     for a, b in ((stopped.poly, full.poly), (stopped.mixed, full.mixed)):
         a, b = a.to_dict(), b.to_dict()
-        if n == 9:
-            # more starts meet tol in 500 sweeps than in the one that stops
-            assert a.pop("starts_converged") <= b.pop("starts_converged")
+        # more starts meet tol in 500 sweeps than in the one that stops
+        assert a.pop("starts_converged") <= b.pop("starts_converged")
         assert a == b

@@ -98,3 +98,19 @@ def test_a_tree_that_cannot_be_read_exits_2(tmp_path, capsys):
     old = _tree(tmp_path / "old", _report(1.0))
     assert value_diff.main([str(old), str(tmp_path / "absent")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_changed_usage_error_is_one_non_numeric_change(tmp_path):
+    usage = "usage: polarnorm [-h] [--version] {bounds,estimate} ...\n"
+    old = {"35-bounds.json": "", "35-bounds.exit": "2\n",
+           "35-bounds.err": usage + "polarnorm: error: unrecognized arguments: --restarts 5\n"}
+    new = {**old, "35-bounds.err": "usage: polarnorm bounds [-h] [--pattern PATTERN]\n"
+                                   "polarnorm bounds: error: unrecognized arguments: --restarts 5\n"}
+    diffs = value_diff.compare_trees(_tree(tmp_path / "old", old), _tree(tmp_path / "new", new))
+    assert diffs == {"35-bounds": [(
+        "35-bounds.err", "non-numeric", None,
+        "polarnorm: error: unrecognized arguments: --restarts 5",
+        "polarnorm bounds: error: unrecognized arguments: --restarts 5",
+    )]}
+    (tmp_path / "same").mkdir()
+    assert _classes(tmp_path / "same", old, old) == {"35-bounds": []}
