@@ -453,9 +453,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args, unread = parser.parse_known_args(argv)
     if unread:
-        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
+        # the top-level parser reads no value, so the first word is the subcommand;
+        # an unread argument before it is the top-level parser's to report
+        command_at = next(i for i, arg in enumerate(argv) if not arg.startswith("-"))
+        report = parser.error if set(unread) & set(argv[:command_at]) else args.usage_error
+        report(f"unrecognized arguments: {' '.join(unread)}")
     try:
         # a form whose values overflow raises NormError; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -248,16 +248,24 @@ class SymmetricForm:
         del powers  # freed before the products, which bounds the peak of large batches
         return [(g if g.ndim == 2 else np.multiply.reduce(g, axis=1)).T for g in gathered]
 
+    def _monomials(self, points: np.ndarray) -> np.ndarray:
+        """x^alpha (N, C) of points (N, d): the same for every form of this support."""
+        (monomials,) = self._products(np.atleast_2d(points), self._table[0])
+        return monomials
+
+    def _eval_monomials(self, monomials: np.ndarray) -> np.ndarray:
+        """P at the points whose _monomials these are, (N, C) -> (N,)."""
+        return monomials @ self._values
+
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """P at each row of points, shape (N, d) -> (N,)."""
-        (monomials,) = self._products(np.atleast_2d(points), self._table[0])
-        return monomials @ self._values
+        return self._eval_monomials(self._monomials(points))
 
     def eval_grad_batch(self, points: np.ndarray):
         """(P(x), grad P(x)) per row; complex forms return holomorphic partials."""
         rows, grad_rows, grad_weights, scatter = self._table
         monomials, lowered = self._products(np.atleast_2d(points), rows, grad_rows)
-        return monomials @ self._values, (lowered * grad_weights[None, :]) @ scatter
+        return self._eval_monomials(monomials), (lowered * grad_weights[None, :]) @ scatter
 
     def scaled(self, factor) -> "SymmetricForm":
         """New form with every coefficient multiplied by factor."""
@@ -392,29 +400,37 @@ def polarize(form: SymmetricForm, vectors: Sequence, cap: int = POLARIZE_DEGREE_
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 
+def _polar_points(multiplicities: tuple[int, ...], tuples: np.ndarray) -> np.ndarray:
+    """Each tuple's points sum_j (2 t_j - k_j) x_j, (T, n, d) -> (T * combos, d)."""
+    mult, _, _ = _block_table(multiplicities)
+    return (mult @ tuples).reshape(-1, tuples.shape[-1])
+
+
+def _polar_sum(multiplicities: tuple[int, ...], values: np.ndarray,
+               modulus: bool = False) -> np.ndarray:
+    """L(x_1^{k_1} ... x_n^{k_n}) per tuple from P at its _polar_points,
+    (T * combos,) -> (T,).  With modulus, |L| is taken before the scale,
+    an order that is not interchangeable bit for bit for complex values."""
+    _, weights, _ = _block_table(multiplicities)
+    sums = values.reshape(-1, len(weights)) @ weights
+    return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
+
+
 def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
                   modulus: bool = False) -> np.ndarray:
-    """Unchecked core of eval_mixed: L(x_1^{k_1} ... x_n^{k_n}) for each
-    argument tuple, tuples (T, n, d) -> (T,).
-
-    With modulus, |L| is taken before the polarization scale is applied;
-    for complex values that order is not interchangeable bit for bit.
-    """
-    mult, weights, _ = _block_table(multiplicities)
-    points = (mult @ tuples).reshape(-1, form.dim)
-    sums = form.eval_batch(points).reshape(tuples.shape[0], -1) @ weights
-    return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
+    """Unchecked core of eval_mixed: L(x_1^{k_1} ... x_n^{k_n}) (or its
+    modulus) for each argument tuple, tuples (T, n, d) -> (T,)."""
+    return _polar_sum(multiplicities, form.eval_batch(_polar_points(multiplicities, tuples)),
+                      modulus)
 
 
 def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray):
     """Unchecked core of eval_mixed_grad: values (T,) and block gradients
     (T, n, d) for argument tuples (T, n, d)."""
-    mult, weights, grad_map = _block_table(multiplicities)
-    points = (mult @ tuples).reshape(-1, form.dim)
-    vals, grads = form.eval_grad_batch(points)
-    scale = _polar_scale(sum(multiplicities))
-    sums = vals.reshape(tuples.shape[0], -1) @ weights
-    return sums * scale, grad_map @ grads.reshape(tuples.shape[0], -1, form.dim) * scale
+    _, _, grad_map = _block_table(multiplicities)
+    vals, grads = form.eval_grad_batch(_polar_points(multiplicities, tuples))
+    grads = grad_map @ grads.reshape(tuples.shape[0], -1, form.dim)
+    return _polar_sum(multiplicities, vals), grads * _polar_scale(sum(multiplicities))
 
 
 def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,

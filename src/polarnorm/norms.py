@@ -33,7 +33,11 @@ form whose values overflow, raises NormError.  The ell_p geometry below
 acts row-wise on the last axis.  The seeded restart tuples depend only on
 (seed, restarts, space), not on the form, so they are drawn once per key
 and cached read-only, and every block count takes the first blocks of
-one draw.
+one draw.  So are the ternary grid's tuples and the monomials of their
+points at p in {1, inf}, keyed by (exponent table content, d, p, field,
+pattern); each form applies only its coefficients, the block-weight sum,
+the modulus and the scale, in the order of eval_batch and _mixed_values,
+so every score keeps its bits.
 
 Where a classical bound is known, the estimate also stops by proof:
 _certified_upper returns, for every pattern, the largest tensor entry
@@ -69,6 +73,8 @@ from .forms import (
     _coordinate_coeffs,
     _mixed_value_grad,
     _mixed_values,
+    _polar_points,
+    _polar_sum,
     as_pattern,
     conjugate_exponent,
 )
@@ -386,12 +392,33 @@ def _ascent_direction(values: np.ndarray, grads: np.ndarray):
 # the ascent engine
 
 
-def _score_grid(form, pat: Pattern, cands: np.ndarray):
-    """Every tuple of the product grid cands^n, (T, n, d) in row-major order
-    of the candidate indices, and its value |L| (T,)."""
+def _grid_material(form, pat: Pattern, cands: np.ndarray):
+    """The form-independent half of scoring the grid cands^n: its tuples (T, n, d),
+    row-major in the candidate indices, and the _monomials of their points."""
     combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
     tuples = cands[combos]
-    return tuples, _values(form, pat, tuples)
+    points = tuples[:, 0, :] if pat.n == 1 else _polar_points(pat.multiplicities, tuples)
+    return tuples, form._monomials(points)
+
+
+def _score_grid(form, pat: Pattern, monomials: np.ndarray) -> np.ndarray:
+    """The per-form half: |L| (T,), by the operations and bits of _values."""
+    values = form._eval_monomials(monomials)
+    return np.abs(values) if pat.n == 1 else _polar_sum(pat.multiplicities, values, modulus=True)
+
+
+@functools.lru_cache(maxsize=4)
+def _start_grid(support: tuple, dim: int, p: float, field: str, multiplicities: tuple[int, ...]):
+    """The read-only _grid_material of the ternary grid for the forms whose
+    exponent table (coefficient keys) is support, or None past _CANDIDATE_CAP:
+    1 MB for complex (2, 1) on ell_1^3, 26 MB for real (2, 1) on ell_1^5."""
+    cands = _ternary_candidates(dim, p, field)
+    if not len(cands) or len(cands) ** len(multiplicities) > _CANDIDATE_CAP:
+        return None
+    zero = SymmetricForm(sum(multiplicities), dim, field, dict.fromkeys(support, 0))
+    tuples, monomials = _grid_material(zero, Pattern(multiplicities), cands)
+    tuples.flags.writeable = monomials.flags.writeable = False
+    return tuples, monomials
 
 
 def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
@@ -401,9 +428,9 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
 
     The ternary tuples are the top values of the product grid of class
     representatives, so no two are unit multiples block by block; the grid
-    is scored only while it has at most _CANDIDATE_CAP tuples.  The
-    restart tuples come from a small per-key cache and are read-only; the
-    final np.concatenate copies them.
+    is scored only while it has at most _CANDIDATE_CAP tuples.  Its tuples
+    and monomials (_start_grid) and the restart tuples come from small
+    per-key caches, read-only; the final np.concatenate copies them.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
@@ -416,10 +443,10 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
         diagonal = np.concatenate(vectors)
         parts.append(np.broadcast_to(diagonal[:, None], (len(diagonal), n, d)))
         if p == 1.0 or math.isinf(p):
-            cands = _ternary_candidates(d, p, form.field)
-            if len(cands) and len(cands) ** n <= _CANDIDATE_CAP:
-                tuples, vals = _score_grid(form, pat, cands)
-                parts.append(tuples[np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]])
+            grid = _start_grid(tuple(form.coeffs), d, p, form.field, pat.multiplicities)
+            if grid is not None:
+                vals = _score_grid(form, pat, grid[1])
+                parts.append(grid[0][np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]])
     if len(extra_starts):
         parts.append(np.array([[np.asarray(x, dtype=dtype) for x in xs] for xs in extra_starts]))
     # as many blocks as any estimate of this form takes, so they share one draw
@@ -762,7 +789,8 @@ def grid_oracle(
         raise NormError(f"pattern sums to {pat.m}, form degree is {form.degree}")
     if len(cands) ** pat.n > 2_000_000:
         raise NormError("candidate grid too large for this pattern")
-    tuples, vals = _score_grid(form, pat, cands)
+    tuples, monomials = _grid_material(form, pat, cands)
+    vals = _score_grid(form, pat, monomials)
     idx = int(np.argmax(vals))
     return NormEstimate(float(vals[idx]), list(tuples[idx]), "grid", len(tuples))
 

@@ -97,6 +97,22 @@ def test_a_flag_the_subcommand_does_not_read_or_an_abbreviation_exit_2(capsys, a
 
 
 @pytest.mark.parametrize("argv", [
+    ("--foo", "bounds", "--pattern", "2,1"),
+    ("--foo", "bounds", "--pattern", "2,1", "--restarts", "5"),
+    ("--foo=1", "verify", "--pattern", "2", "--samples", "1"),
+], ids=lambda argv: "-".join(argv))
+def test_an_unread_argument_before_the_subcommand_is_a_top_level_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    # it is not the subcommand's flag, so the top-level parser reports it
+    assert out.err.startswith("usage: polarnorm [-h] [--version]")
+    assert "\npolarnorm: error: unrecognized arguments: " in out.err
+
+
+@pytest.mark.parametrize("argv", [
     ("estimate", "--extremal", "nonattaining", "--n", "3", "--p", "1", "--pattern", "2"),
     ("estimate", "--form", "scripts/complex_cubic.json", "--pattern", "2,1", "--p", "1",
      "--field", "real"),

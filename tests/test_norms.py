@@ -452,6 +452,7 @@ def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
 
 def _clear_start_caches():
     norms._restart_tuples.cache_clear()
+    norms._start_grid.cache_clear()
 
 
 def _serial_restarts(seed, restarts, n, dim, p, field):
@@ -551,6 +552,103 @@ def test_cached_start_material_is_read_only():
     draws = norms._restart_tuples(0, 4, 2, 3, 1.0, COMPLEX)
     with pytest.raises(ValueError):
         draws[0, 0, 0] = 0.0
+    form = random_form(np.random.default_rng(3), 3, 3, COMPLEX)
+    tuples, monomials = norms._start_grid(tuple(form.coeffs), 3, 1.0, COMPLEX, (2, 1))
+    for arr in (tuples, monomials):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    before = tuples.copy()
+    starts = _starts(form, SpaceSpec(1.0, 3, COMPLEX), as_pattern((2, 1)),
+                     OptimizerConfig(restarts=2), (), None)
+    assert starts.flags.writeable
+    starts[:] = 0.0
+    assert _same_bits(tuples, before)
+
+
+def _fresh_score_grid(form, pat, cands):
+    """The grid cands^n and its values |L|, every tuple gathered and then
+    evaluated by _values, with nothing cached."""
+    combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
+    tuples = cands[combos]
+    return tuples, _values(form, pat, tuples)
+
+
+def _grid_scores(form, space, pat):
+    """The ternary grid's tuples and scores as _starts gets them, or None."""
+    grid = norms._start_grid(tuple(form.coeffs), space.dim, space.p, space.field,
+                             pat.multiplicities)
+    return None if grid is None else (grid[0], norms._score_grid(form, pat, grid[1]))
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1), (4,), (3, 1), (2, 2), (1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_scores_and_starts_are_the_same_from_a_cold_and_a_warm_cache(dim, pattern, field, p):
+    pat = as_pattern(pattern)
+    form = random_form(np.random.default_rng(19 + pat.m), pat.m, dim, field)
+    space = SpaceSpec(p, dim, field)
+    cfg = OptimizerConfig(restarts=3, seed=2)
+    cands = _ternary_candidates(dim, p, field)
+    for warm in (False, True):
+        if not warm:
+            _clear_start_caches()
+        got = _grid_scores(form, space, pat)
+        if len(cands) ** pat.n > norms._CANDIDATE_CAP:
+            assert got is None
+        else:
+            for a, b in zip(got, _fresh_score_grid(form, pat, cands)):
+                _assert_bitwise_equal(a, b)
+        if not warm:
+            _clear_start_caches()
+        starts = _starts(form, space, pat, cfg, (), None)
+        _assert_bitwise_equal(starts, _stacked_starts(form, space, pat, cfg, (), None))
+    # the cold _starts built the material once; the warm pass built nothing
+    assert norms._start_grid.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1)])
+def test_forms_with_different_supports_never_share_grid_material(pattern, field, p):
+    # a dense form and two sparse forms of one size but different supports,
+    # on one space: each scores as from a cold cache, in every order
+    pat = as_pattern(pattern)
+    forms = [random_form(np.random.default_rng(29), 3, 3, field),
+             _sparse_form(field, 3, 3, 34, 0.5), _sparse_form(field, 3, 3, 41, 0.5)]
+    assert len({tuple(f.coeffs) for f in forms}) == 3
+    assert len(forms[1].coeffs) == len(forms[2].coeffs) < len(forms[0].coeffs)
+    space = SpaceSpec(p, 3, field)
+    cfg = OptimizerConfig(restarts=3, seed=2)
+    cold = []
+    for form in forms:
+        _clear_start_caches()
+        cold.append((_grid_scores(form, space, pat), _starts(form, space, pat, cfg, (), None)))
+    for order in itertools.permutations(range(len(forms))):
+        _clear_start_caches()
+        for i in order:
+            (tuples, scores), starts = cold[i]
+            got_tuples, got_scores = _grid_scores(forms[i], space, pat)
+            _assert_bitwise_equal(got_tuples, tuples)
+            _assert_bitwise_equal(got_scores, scores)
+            _assert_bitwise_equal(_starts(forms[i], space, pat, cfg, (), None), starts)
+        assert norms._start_grid.cache_info().currsize == len(forms)
+
+
+def test_a_verify_run_builds_the_grid_material_once_per_pattern(monkeypatch):
+    # all 50 forms of a complex (2, 1) verify share one support, so the
+    # poly (3,) and the mixed (2, 1) grids are each built once
+    built = []
+    original = norms._grid_material
+    monkeypatch.setattr(norms, "_grid_material",
+                        lambda form, pat, cands: built.append(pat.multiplicities)
+                        or original(form, pat, cands))
+    _clear_start_caches()
+    rng = np.random.default_rng(3)
+    forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(50)]
+    verify_samples(forms, SpaceSpec(1.0, 3, COMPLEX), (2, 1), OptimizerConfig(restarts=4, seed=3),
+                   5e-3)
+    assert sorted(built) == [(2, 1), (3,)]
 
 
 def _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness):
@@ -569,7 +667,7 @@ def _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness):
         if p == 1.0 or math.isinf(p):
             cands = _ternary_candidates(d, p, form.field)
             if len(cands) and len(cands) ** n <= norms._CANDIDATE_CAP:
-                tuples, vals = norms._score_grid(form, pat, cands)
+                tuples, vals = _fresh_score_grid(form, pat, cands)
                 order = np.argsort(-vals, kind="stable")[:norms._TOP_CANDIDATE_STARTS]
                 starts.extend(tuples[i] for i in order)
     for xs in extra_starts:
