@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run a fixed set of fixed-seed CLI commands and write what each printed.
 
-The commands cover all five subcommands, every --format and four usage
+The commands cover all five subcommands, every --format and five usage
 errors: a missing --pattern, a source flag its source does not read, a
-flag its subcommand does not take, and an unknown argument before the
-subcommand.  A command that names its own --format keeps it; every other
-runs under --format json.  Every command runs from the root of this script's
+flag its subcommand does not take, an unknown argument before the
+subcommand, and a subcommand's flag before the subcommand.  A command
+that names its own --format keeps it; every other runs under --format
+json.  Every command runs from the root of this script's
 tree, so a form file it names, such as scripts/complex_cubic.json, is
 this tree's file and its echoed path is the same whichever src/ runs.
 For each command, OUTDIR gets <NN>-<subcommand>.<format> with its stdout
@@ -63,7 +64,9 @@ COMMANDS = [
     "estimate --extremal nonattaining --n 9 --p 1",
     "bounds --pattern 2,1 --restarts 5",
     "--foo bounds --pattern 2,1",
+    "--seed 1 verify --pattern 2 --samples 1",
 ]
+SUBCOMMANDS = ("bounds", "estimate", "verify", "table", "extremal")
 
 RUN_CLI = "import sys; from polarnorm.cli import main; sys.exit(main(sys.argv[1:]))"
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +96,7 @@ def main() -> int:
         fmt = argv[argv.index("--format") + 1]
         done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=env, cwd=ROOT,
                               capture_output=True, text=True)
-        subcommand = next(arg for arg in argv if not arg.startswith("-"))
+        subcommand = next(arg for arg in argv if arg in SUBCOMMANDS)
         stem = args.outdir / f"{index:02d}-{subcommand}"
         stem.with_suffix("." + fmt).write_text(done.stdout)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")

@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -226,6 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--m-max", type=int, default=200, dest="m_max")
     _add_command(subs, "extremal", "emit a built-in instance as form file + sidecar",
                  "--pattern", "--p", "--field", "--extremal", "--n")
+    # main names a subcommand's flag given before the subcommand name
+    parser.subcommand_flags = {flag for sub in subs.choices.values()
+                               for flag in sub._option_string_actions} - {"-h", "--help"}
     return parser
 
 
@@ -455,12 +459,17 @@ COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
+    # the top-level parser reads no value, so the first word that is not a
+    # flag is the subcommand, and the flags before it are the top-level
+    # parser's to report.  A subcommand's flag there is named before parsing,
+    # which would take its value for the subcommand name
+    leading = list(itertools.takewhile(lambda arg: arg.startswith("-"), argv))
+    for arg in leading:
+        if (flag := arg.split("=", 1)[0]) in parser.subcommand_flags:
+            parser.error(f"{flag} is a subcommand flag: it goes after the subcommand name")
     args, unread = parser.parse_known_args(argv)
     if unread:
-        # the top-level parser reads no value, so the first word is the subcommand;
-        # an unread argument before it is the top-level parser's to report
-        command_at = next(i for i, arg in enumerate(argv) if not arg.startswith("-"))
-        report = parser.error if set(unread) & set(argv[:command_at]) else args.usage_error
+        report = parser.error if set(unread) & set(leading) else args.usage_error
         report(f"unrecognized arguments: {' '.join(unread)}")
     try:
         # a form whose values overflow raises NormError; numpy's warnings would only repeat it

@@ -112,6 +112,25 @@ def test_an_unread_argument_before_the_subcommand_is_a_top_level_usage_error(cap
     assert "\npolarnorm: error: unrecognized arguments: " in out.err
 
 
+@pytest.mark.parametrize("flag,argv", [
+    ("--seed", ("--seed", "1", "verify", "--pattern", "2", "--samples", "1")),
+    ("--seed", ("--seed=1", "verify", "--pattern", "2", "--samples", "1")),
+    ("--parallel", ("--parallel", "verify", "--pattern", "2", "--samples", "1")),
+    ("--seed", ("--foo", "--seed", "1", "bounds", "--pattern", "2,1")),
+], ids=lambda arg: "-".join(arg) if isinstance(arg, tuple) else None)
+def test_a_subcommand_flag_before_the_subcommand_is_named_by_the_top_level_parser(capsys, flag,
+                                                                                 argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    # its value is not read as the subcommand name: the message names the flag
+    assert out.err.startswith("usage: polarnorm [-h] [--version]")
+    assert out.err.endswith(
+        f"\npolarnorm: error: {flag} is a subcommand flag: it goes after the subcommand name\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("estimate", "--extremal", "nonattaining", "--n", "3", "--p", "1", "--pattern", "2"),
     ("estimate", "--form", "scripts/complex_cubic.json", "--pattern", "2,1", "--p", "1",

@@ -1493,6 +1493,61 @@ def test_complex_l1_reports_stop_at_the_largest_tensor_entry(monkeypatch):
     assert calls["eval_batch"] + calls["eval_grad_batch"] <= 100
 
 
+def test_every_complex_l1_mixed_estimate_stops_at_its_certificate_before_any_move(monkeypatch):
+    # the 50 forms of `polarnorm verify --pattern 2,1 --field complex --p 1
+    # --seed 3`: every best start lies within rounding of the largest tensor
+    # entry U, so no mixed estimate walks a ladder.  A stop that compared
+    # exactly with U would make 1-4 gradient moves on some of them, until
+    # rounding pushed a value over U
+    rng = np.random.default_rng(3)
+    forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(50)]
+    space, cfg = SpaceSpec(1.0, 3, COMPLEX), OptimizerConfig(seed=3)
+    calls = _count_kernel_calls(monkeypatch)
+    for form in forms:
+        upper = norms._certified_upper(form, 1.0)
+        poly = poly_norm(form, space, cfg)
+        calls.update(eval_batch=0, eval_grad_batch=0)
+        mixed = mixed_norm(form, space, (2, 1), cfg, poly=poly)
+        assert calls["eval_grad_batch"] == 0
+        assert mixed.starts_converged == 0
+        assert abs(mixed.value - upper) <= 4 * np.finfo(float).eps * upper
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("pattern", [(2, 1), (3, 1), (2, 2), (2, 1, 1), (4, 1), (3, 2)])
+def test_the_certificate_stop_gives_up_rounding_only(pattern, field):
+    rounding = 8 * np.finfo(float).eps
+    space = SpaceSpec(1.0, 3, field)
+    reached = 0
+    for seed in range(8):
+        form = random_form(np.random.default_rng(seed), sum(pattern), 3, field)
+        upper = norms._certified_upper(form, 1.0)
+        # the structured starts of these forms already hold a tuple at U;
+        # random starts alone must climb to it, so the stop fires mid-ascent
+        cfg = OptimizerConfig(restarts=4, seed=seed, structured_starts=False)
+        bounded = mixed_norm(form, space, pattern, cfg).value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(norms, "_certified_upper", lambda form, p: None)
+            unbounded = mixed_norm(form, space, pattern, cfg).value
+        reached += unbounded >= upper * (1 - rounding)
+        # what the unbounded ascent gains past U is rounding by proof: with
+        # structured starts and 8 restarts (seeds 0-39), it read up to 7.9 eps
+        # above U on complex (3, 2) forms, while the bounded estimates stayed
+        # within 1.5 eps of U
+        assert bounded >= min(unbounded, upper) * (1 - rounding)
+    # most of these ascents reach U, so the stop is tested where it fires; a
+    # stop margin of 5e-2 fails this test, one of 1e-2 does not
+    assert reached >= 6
+
+
+def _largest_upper_met(value):
+    """The largest upper bound that value still meets within the stop margin."""
+    upper = value
+    while (above := np.nextafter(upper, np.inf)) * (1 - norms._UPPER_MARGIN) <= value:
+        upper = above
+    return upper
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, monkeypatch):
     pat = as_pattern((2, 1))
@@ -1501,17 +1556,23 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
     starts = _starts(form, SpaceSpec(1.5, 3, field), pat, cfg, (), None)
     one_sweep = _block_ascent(form, 1.5, pat, starts, replace(cfg, max_iter=1))
     leader = one_sweep[0].max()
-    # met exactly by the first sweep's best value: the ascent stops after it
-    for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=leader), one_sweep):
-        _assert_bitwise_equal(a, b)
+    # the stop allows a few ulps of rounding: the largest upper bound the
+    # first sweep's best value meets lies above it, and the ascent stops
+    # after that sweep
+    met = _largest_upper_met(leader)
+    assert met > leader
+    for upper in (leader, met):
+        for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=upper), one_sweep):
+            _assert_bitwise_equal(a, b)
     # met by a start before any backtracking move: the sphere-moved starts
     # come back as evaluated, none converged, with no kernel call after the
     # first evaluation
     moved = _sphere_move(starts.reshape(-1, 3), 1.5).reshape(starts.shape)
     first = _values(form, pat, moved)
-    assert first.max() < leader
+    assert _largest_upper_met(first.max()) < leader
     calls = _count_kernel_calls(monkeypatch)
-    for upper in (first.max(), np.nextafter(first.max(), -np.inf), 0.0):
+    for upper in (_largest_upper_met(first.max()), first.max(),
+                  np.nextafter(first.max(), -np.inf), 0.0):
         calls.update(eval_batch=0, eval_grad_batch=0)
         vals, xs, converged = _block_ascent(form, 1.5, pat, starts, cfg, upper=upper)
         assert calls == {"eval_batch": 1, "eval_grad_batch": 0}
@@ -1519,10 +1580,11 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
         _assert_bitwise_equal(xs, moved)
         assert not converged.any()
     # the other starts climb on for more sweeps, but none passes the leader:
-    # an ulp above it, or infinity, is never met, and nothing stops early
+    # the smallest upper bound it does not meet, or infinity, is never met,
+    # and nothing stops early
     unbounded = _block_ascent(form, 1.5, pat, starts, cfg)
     assert unbounded[0].max() == leader and not np.array_equal(unbounded[0], one_sweep[0])
-    for upper in (np.nextafter(leader, np.inf), math.inf):
+    for upper in (np.nextafter(met, np.inf), math.inf):
         for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=upper), unbounded):
             _assert_bitwise_equal(a, b)
 
