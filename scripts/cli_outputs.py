@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run a fixed set of fixed-seed CLI commands and write what each printed.
 
-The commands cover all five subcommands, every --format and five usage
-errors: a missing --pattern, a source flag its source does not read, a
-flag its subcommand does not take, an unknown argument before the
-subcommand, and a subcommand's flag before the subcommand.  A command
+The commands cover all five subcommands, every --format, the product
+instance on both sides of its conjugate exponent, and five usage errors: a
+missing --pattern, a source flag its source does not read, a flag its
+subcommand does not take, an unknown argument before the subcommand, and
+a subcommand's flag before the subcommand.  A command
 that names its own --format keeps it; every other runs under --format
 json.  Every command runs from the root of this script's
 tree, so a form file it names, such as scripts/complex_cubic.json, is
@@ -65,6 +66,7 @@ COMMANDS = [
     "bounds --pattern 2,1 --restarts 5",
     "--foo bounds --pattern 2,1",
     "--seed 1 verify --pattern 2 --samples 1",
+    "estimate --extremal product --pattern 2,1 --p 2",
 ]
 SUBCOMMANDS = ("bounds", "estimate", "verify", "table", "extremal")
 

@@ -104,6 +104,12 @@ def _pattern_logs(pat: Pattern):
     return base_log, fact_log
 
 
+def _log_sum_exp(terms: Sequence[float]) -> float:
+    """log sum_i exp(t_i), shifted by the largest term so no exp overflows."""
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
 def _exact_ratio(num: int, den: int):
     """(value, log) of an exact integer ratio; the value is inf beyond floats."""
     return _or_inf(lambda: float(Fraction(num, den))), math.log(num) - math.log(den)
@@ -415,10 +421,8 @@ def bound_real_polar(pattern) -> BoundRecord:
         num = n ** (m - 1) * sum(k ** (m - 1) for k in pat)
         value, log_value = _exact_ratio(num, math.factorial(m))
     else:
-        # shifted log-sum-exp: the unshifted terms underflow to 0 at large m
-        terms = [(m - 1) * (math.log(k) - math.log(m)) for k in pat]
-        top = max(terms)
-        log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
+        # the unshifted terms underflow to 0 at large m
+        log_sum = _log_sum_exp([(m - 1) * (math.log(k) - math.log(m)) for k in pat])
         log_value = (m - 1) * math.log(n) - _lgamma1(m) + (m - 1) * math.log(m) + log_sum
     return _record(
         "real_polar",
@@ -445,15 +449,15 @@ def bound_real_hilbert(pattern) -> BoundRecord:
     )
 
 
-def _registry_exact(winner: BoundRecord, pat: Pattern, field: str):
-    """(exact, note) for a best-bound record: the winner's name, plus the
-    known exact constant when SHARP_PATTERN_REGISTRY has one."""
-    note = f"from {winner.name}"
-    entry = SHARP_PATTERN_REGISTRY.get((field, tuple(sorted(pat.multiplicities))))
+def _registry_exact(field: str, multiplicities: tuple[int, ...]):
+    """(exact, note) from SHARP_PATTERN_REGISTRY for these block sizes in any
+    order, else (None, "").  It takes a plain tuple, since Pattern refuses
+    the Markov pattern (m - k, k) at k = m."""
+    entry = SHARP_PATTERN_REGISTRY.get((field, tuple(sorted(multiplicities))))
     if entry is None:
-        return None, note
+        return None, ""
     exact, cite = entry
-    return exact, f"{note}; exact constant {exact} ({cite})"
+    return exact, f"; exact constant {exact} ({cite})"
 
 
 def bound_real_best(pattern) -> BoundRecord:
@@ -462,8 +466,8 @@ def bound_real_best(pattern) -> BoundRecord:
     polar = bound_real_polar(pat)
     hilbert = bound_real_hilbert(pat)
     winner = polar if polar.value <= hilbert.value else hilbert
-    exact, note = _registry_exact(winner, pat, REAL)
-    return replace(winner, name="real_best", exact=exact, note=note)
+    exact, note = _registry_exact(REAL, pat.multiplicities)
+    return replace(winner, name="real_best", exact=exact, note=f"from {winner.name}{note}")
 
 
 def bound_real_lp_disjoint(pattern, p: float) -> BoundRecord:
@@ -479,7 +483,8 @@ def bound_real_lp_disjoint(pattern, p: float) -> BoundRecord:
     if math.isinf(p):
         log_value = m * math.log(max(pat.multiplicities)) - _lgamma1(m)
     elif p >= m:
-        log_value = (m / p) * math.log(sum(k ** (p - 1.0) for k in pat)) - _lgamma1(m)
+        # k^(p-1) leaves the float range once (p - 1) log2(k) >= 1024
+        log_value = (m / p) * _log_sum_exp([(p - 1.0) * math.log(k) for k in pat]) - _lgamma1(m)
     else:
         log_value = ((m - p) / p) * math.log(n) - _lgamma1(m) + math.log(
             sum(k ** (m - 1) for k in pat)
@@ -536,8 +541,8 @@ def real_markov_range(m: int, k: int) -> MarkovRange:
     else:
         log_factor = math.log(math.comb(m, k)) + 0.5 * (_xlogx(k) + _xlogx(mk) - m * math.log(m))
         factor = _or_inf(lambda: math.exp(log_factor))
-    sharp = SHARP_PATTERN_REGISTRY.get((REAL, tuple(sorted((mk, k)))))
-    exact = math.factorial(k) * math.comb(m, k) * sharp[0] if sharp else None
+    sharp, _ = _registry_exact(REAL, (mk, k))
+    exact = None if sharp is None else math.factorial(k) * math.comb(m, k) * sharp
     return MarkovRange(m, k, homog.value, homog.value * factor, full.value, full.value * factor, exact)
 
 
@@ -620,11 +625,12 @@ def bernstein_width(m: int, width: float, x_norm: Optional[float] = None) -> dic
 
 
 def rademacher_moment(k: int, m: int) -> float:
-    """E|eps_1 + ... + eps_k|^m, exactly, by binomial weighting of the k+1 sums."""
+    """E|eps_1 + ... + eps_k|^m, exactly, by binomial weighting of the k+1
+    sums; inf past the float range."""
     if k < 1 or m < 0:
         raise BoundError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
     total = sum(math.comb(k, t) * abs(2 * t - k) ** m for t in range(k + 1))
-    return float(Fraction(total, 2**k))
+    return _or_inf(lambda: float(Fraction(total, 2**k)))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +708,8 @@ def bound_best(pattern, p: Optional[float], field: str) -> BoundRecord:
     for rec in records[1:]:
         if rec.value < winner.value:
             winner = rec
-    exact, note = _registry_exact(winner, as_pattern(pattern), field)
+    exact, note = _registry_exact(field, as_pattern(pattern).multiplicities)
+    note = f"from {winner.name}{note}"
     # applicable_bounds keeps complex_lp only where it applies
     sharp_lp = [rec for rec in records if rec.name == "complex_lp" and rec.sharp]
     if exact is None and sharp_lp:

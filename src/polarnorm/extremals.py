@@ -82,7 +82,8 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     Witnesses y_j spread mass 1/k_j^{1/p} over k_j fresh coordinates; the
     polynomial norm is exactly m^{-m/p} (arithmetic-geometric mean), and
     the witness ratio (m^m / prod k^k)^{1/p} prod k!/m! equals the
-    mixed-norm constant precisely when p <= m/(m-1).
+    mixed-norm constant precisely when p <= m/(m-1), and 1 for one block.
+    Elsewhere exact_ratio is None: at p = 2 every mixed norm equals ||P||.
     """
     pat = as_pattern(pattern)
     p = float(p)
@@ -91,13 +92,8 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     m = pat.m
     space = SpaceSpec(p, m, field)
     form = product_form(m, m, field)
-    witnesses = []
-    offset = 0
-    for k in pat.multiplicities:
-        w = np.zeros(m)
-        w[offset : offset + k] = k ** (-1.0 / p)
-        witnesses.append(w)
-        offset += k
+    block_of = np.repeat(np.arange(pat.n), pat.multiplicities)  # each coordinate's block
+    witnesses = [np.where(block_of == j, k ** (-1.0 / p), 0.0) for j, k in enumerate(pat)]
     prod_kk = math.prod(k**k for k in pat)
     prod_fact = math.prod(math.factorial(k) for k in pat)
     exact_poly = m ** (-m / p)
@@ -108,6 +104,7 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
             f"the exact constants of a degree-{m} pattern with {pat.n} blocks "
             "leave the float range"
         ) from None
+    sharp = p <= conjugate_exponent(m)
     return ExtremalInstance(
         name="product",
         form=form,
@@ -115,8 +112,8 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
         pattern=pat,
         witnesses=witnesses,
         exact_poly_norm=exact_poly,
-        exact_ratio=exact_ratio,
-        ratio_is_sharp=p <= conjugate_exponent(m),
+        exact_ratio=exact_ratio if sharp or pat.n == 1 else None,
+        ratio_is_sharp=sharp,
         citation="disjoint block vectors saturate the complex ell_p constant",
     )
 
@@ -209,8 +206,10 @@ def verify_instance(
     within POLY_TOL and RATIO_TOL relative to max(1, exact value).
 
     The stored witnesses seed the mixed estimator, so the measured ratio
-    can only meet or beat the recorded one.
+    can only meet or beat the recorded one.  Their value is taken first:
+    a degree past POLARIZE_DEGREE_CAP raises FormError before any estimate.
     """
+    witness_value = abs(instance.witness_mixed_value)
     poly = poly_norm(instance.form, instance.space, config)
     mixed = mixed_norm(
         instance.form,
@@ -221,7 +220,6 @@ def verify_instance(
         poly=poly,
     )
     ratio = mixed.value / poly.value if poly.value > 0 else math.inf
-    witness_value = abs(instance.witness_mixed_value)
     poly_error = ratio_error = None
     passed = True
     if instance.exact_poly_norm is not None:

@@ -1,10 +1,10 @@
 """Symmetric multilinear forms stored as homogeneous-polynomial coefficients.
 
-A degree-m form L on K^d is represented by the coefficients a_alpha of its
-diagonal polynomial P(x) = sum_alpha a_alpha x^alpha.  The symmetric tensor
-entry at index multiset beta is a_beta * beta!/m!, which makes the
-polynomial <-> form round trip unambiguous.  All evaluation routines are
-pure and operate on immutable form objects.
+A degree-m form L on K^d is stored as the coefficients a_alpha of its
+diagonal polynomial P(x) = sum_alpha a_alpha x^alpha.  Its dense symmetric
+tensor SymmetricForm._tensor holds a_beta beta!/m! at every ordering of the
+index multiset beta, so the polynomial <-> form round trip is unambiguous.
+Evaluation routines are pure and operate on immutable form objects.
 
 Only this module knows how monomials are stored: each form compiles once
 into a table holding, per monomial, the flat indices e*d + i of its
@@ -206,16 +206,29 @@ class SymmetricForm:
         return rows, grad_rows, grad_weights, scatter
 
     @cached_property
+    def _tensor_weights(self) -> np.ndarray:
+        """beta!/m! per monomial, each one correctly rounded integer ratio."""
+        fact_m = math.factorial(self.degree)
+        return np.array([math.prod(map(math.factorial, alpha)) / fact_m for alpha in self.coeffs])
+
+    @cached_property
     def _tensor_top(self):
-        """max |a_beta| beta!/m!, the largest tensor entry modulus; None for
-        the zero form.  Each weight beta!/m! is one correctly rounded integer
-        ratio, so a pure power's weight is exactly 1.0 and a pure-power
-        form's value is its largest coefficient modulus, bit for bit."""
+        """The largest tensor entry modulus, None for the zero form.  A pure
+        power's weight is exactly 1.0, so a pure-power form's value is its
+        largest coefficient modulus, bit for bit."""
         if not self.coeffs:
             return None
-        fact_m = math.factorial(self.degree)
-        weights = np.array([math.prod(map(math.factorial, alpha)) / fact_m for alpha in self.coeffs])
-        return float((np.abs(self._values) * weights).max())
+        return float((np.abs(self._values) * self._tensor_weights).max())
+
+    @cached_property
+    def _tensor(self) -> np.ndarray:
+        """The dense tensor (d,)*m in the dtype of _values: a_beta beta!/m! at
+        every ordering of each index multiset beta."""
+        tensor = np.zeros((self.dim,) * self.degree, dtype=self._values.dtype)
+        for alpha, entry in zip(self.coeffs, self._values * self._tensor_weights):
+            for idx in _multiset_index_tuples(alpha.exponents):
+                tensor[idx] = entry
+        return tensor
 
     # -- evaluation --------------------------------------------------------
 
@@ -521,28 +534,15 @@ def _multiset_index_tuples(alpha):
 
 
 def eval_tensor_direct(form: SymmetricForm, vectors: Sequence, cap: int = TENSOR_ENTRY_CAP):
-    """Brute-force oracle: contract the dense symmetric tensor with the arguments.
-
-    The tensor entry at an index tuple with count vector beta is
-    a_beta * beta!/m!; cost O(d^m) in memory and time.
-    """
+    """Brute-force oracle: contract the dense symmetric tensor form._tensor,
+    built once per form in O(d^m) memory and time, with the arguments."""
     m, d = form.degree, form.dim
     if len(vectors) != m:
         raise FormError(f"tensor contraction needs {m} vectors, got {len(vectors)}")
     if d**m > cap:
         raise FormError(f"d^m = {d**m} exceeds tensor cap {cap}")
-    dtype = np.float64 if form.field == REAL else np.complex128
     xs = [_as_vector(form, x) for x in vectors]
-    if any(np.iscomplexobj(x) for x in xs):
-        dtype = np.complex128
-    tensor = np.zeros((d,) * m, dtype=dtype)
-    fact_m = math.factorial(m)
-    for alpha, a in form.coeffs.items():
-        beta_fact = math.prod(math.factorial(e) for e in alpha)
-        entry = a * beta_fact / fact_m
-        for idx in _multiset_index_tuples(alpha.exponents):
-            tensor[idx] = entry
-    out = tensor
+    out = form._tensor
     for x in xs:
         out = np.tensordot(out, x, axes=([0], [0]))
     out = out.item()
@@ -604,8 +604,6 @@ def complexify_eval(form: SymmetricForm, x, y) -> complex:
     xv, yv = _as_vector(form, x), _as_vector(form, y)
 
     def block_value(i: int, j: int):
-        if i == 0 and j == 0:
-            raise FormError("degree-0 block")
         if j == 0:
             return eval_poly(form, xv)
         if i == 0:

@@ -40,11 +40,11 @@ the modulus and the scale, in the order of eval_batch and _mixed_values,
 so every score keeps its bits.
 
 Where a classical bound is known, the estimate also stops by proof:
-_certified_upper returns, for every pattern, the largest tensor entry
-modulus max|a_beta| beta!/m! at p = 1 (the multilinear norm there, since
+_certified_upper returns, for every pattern, the largest entry modulus
+of the form's symmetric tensor at p = 1 (the multilinear norm there, since
 L is linear in each slot and the ell_1 ball's extreme points are unit
 multiples of axes), max|a_i| for a pure-power form sum_i a_i x_i^m at
-p <= m, and the largest singular value of the coefficient matrix for a
+p <= m, and the largest singular value of the tensor, a matrix, for a
 quadratic at p = 2.  The ascent ends once its best value is within
 rounding of that bound, at least upper * (1 - 4 eps): values evaluated
 through the polarization sum can read a few ulps below a bound they meet.
@@ -607,21 +607,16 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
       |x_{j,i}|^{k_j} <= max|a_i| prod_j ||x_j||_m^{k_j} <= max|a_i|, by
       Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.  The weight
       m!/m! of x_i^m is exactly 1.0, so the tensor top is max|a_i| bit for bit.
-    - m = 2, p = 2: L(x, y) = x^T A y with A_ii = a_{2e_i} and
-      A_ij = A_ji = a_{e_i+e_j} / 2, so every pattern's norm is the largest
-      singular value of A: max|lambda| for real A, the Takagi value for
-      complex A.
+    - m = 2, p = 2: L(x, y) = x^T A y with A = form._tensor, so every
+      pattern's norm is the largest singular value of A: max|lambda| for
+      real A, the Takagi value for complex A.
     The first is attained by the multilinear pattern at a vertex tuple; the
     other two by every pattern, at an axis and at a singular vector.
     """
     if p == 1.0 or (form._table[0].shape[1] == 1 and p <= form.degree):
         return form._tensor_top
     if form.degree == 2 and p == 2.0:
-        A = np.zeros((form.dim, form.dim), dtype=complex if form.field == COMPLEX else float)
-        for alpha, a in form.coeffs.items():
-            i, j = np.repeat(np.arange(form.dim), alpha.exponents)
-            A[i, j] = A[j, i] = a if i == j else a / 2
-        return float(np.linalg.norm(A, 2))
+        return float(np.linalg.norm(form._tensor, 2))
     return None
 
 

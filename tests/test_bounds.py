@@ -166,6 +166,17 @@ def test_real_lp_disjoint():
     assert bound_real_lp_disjoint((2, 1), 1.0).value == pytest.approx(bound_real_polar((2, 1)).value)
 
 
+@pytest.mark.parametrize("pattern", [(2, 1), (3, 3), (4, 2, 1), (1, 1, 1)])
+def test_real_lp_disjoint_at_large_p_approaches_its_sup_norm_value(pattern):
+    # k^(p-1) overflows the float range for k >= 2 from p = 1025 on
+    at_inf = bound_real_lp_disjoint(pattern, math.inf)
+    m = sum(pattern)
+    assert at_inf.value == pytest.approx(max(pattern) ** m / math.factorial(m), rel=1e-12)
+    for p in (1025.0, 1e6):
+        assert math.isfinite(bound_real_lp_disjoint(pattern, p).log_value)
+    assert bound_real_lp_disjoint(pattern, 1e6).value == pytest.approx(at_inf.value, rel=1e-4)
+
+
 def test_real_markov_range():
     r = real_markov_range(4, 2)
     assert r.homogeneous_lower == pytest.approx(32.0)
@@ -229,6 +240,10 @@ def test_rademacher_moment_values():
     assert rademacher_moment(3, 4) == pytest.approx(21.0)
     for m in (1, 3, 7):
         assert rademacher_moment(1, m) == pytest.approx(1.0)
+
+
+def test_rademacher_moment_past_the_float_range_is_inf():
+    assert rademacher_moment(3, 2000) == math.inf
 
 
 def test_rademacher_moment_interpolation_bound():

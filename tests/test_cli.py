@@ -206,6 +206,20 @@ def test_estimate_product_21(capsys):
     assert result["ratio"] == pytest.approx(2.25, abs=1e-3)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_estimate_product_past_the_conjugate_exponent_passes_without_a_ratio(capsys, field):
+    code, out, _ = run_cli(
+        capsys, "estimate", "--extremal", "product", "--pattern", "2,1", "--p", "2",
+        "--field", field, "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    result = report["results"][0]
+    assert result["exact_ratio"] is None
+    assert result["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_estimate_real44(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--extremal", "real44", "--restarts", "8", "--format", "json"

@@ -64,7 +64,10 @@ def test_product_extremal_witness_value_formula():
             math.factorial(m) * math.prod(k ** (k / p) for k in pat)
         )
         assert abs(inst.witness_mixed_value - expected) <= 1e-12
-        assert abs(inst.witness_mixed_value - inst.exact_ratio * inst.exact_poly_norm) <= 1e-9
+        # past m' the witness ratio is not the constant, and none is stored
+        assert (inst.exact_ratio is None) == (p > m / (m - 1))
+        if inst.exact_ratio is not None:
+            assert abs(inst.witness_mixed_value - inst.exact_ratio * inst.exact_poly_norm) <= 1e-9
         for w in inst.witnesses:
             assert abs(lp_norm(w, p) - 1.0) <= 1e-12
 
@@ -75,7 +78,9 @@ def test_product_extremal_rejects_infinite_p():
 
 
 def test_product_extremal_refuses_constants_past_the_float_range():
-    assert math.isfinite(product_extremal((1,) * 143, 1.5).exact_ratio)
+    # the guard sits in m^m / prod k^k, so it holds whether or not the ratio is stored
+    product_extremal((1,) * 143, 1.5)
+    assert math.isfinite(product_extremal((1,) * 143, 1.0).exact_ratio)
     for pattern in [(1,) * 144, (171,), (170, 30)]:
         with pytest.raises(FormError, match="float range"):
             product_extremal(pattern, 1.5)
@@ -154,6 +159,32 @@ def test_verify_product_21():
     assert report.passed
     assert report.poly.value == pytest.approx(1.0 / 27.0, abs=1e-6)
     assert report.ratio == pytest.approx(2.25, abs=1e-3)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("pattern,p", [((2, 1), 2.0), ((2, 1), 3.0), ((3, 1, 1), 2.0)])
+def test_verify_product_past_the_conjugate_exponent_checks_the_poly_norm_only(pattern, p, field):
+    inst = product_extremal(pattern, p, field)
+    assert inst.exact_ratio is None and not inst.ratio_is_sharp
+    report = verify_instance(inst, CFG)
+    assert report.passed
+    assert report.ratio_error is None
+    assert report.poly.value == pytest.approx(sum(pattern) ** (-sum(pattern) / p), rel=1e-9)
+    # the block witnesses fall short of the ratio the estimators find
+    assert report.ratio > report.witness_value / report.poly.value * 1.1
+
+
+def test_verify_instance_refuses_a_degree_past_the_polarization_cap_before_estimating(
+        monkeypatch):
+    import polarnorm.extremals as extremals
+
+    def fail(*args, **kwargs):
+        raise AssertionError("estimated before the polarization cap was checked")
+
+    monkeypatch.setattr(extremals, "poly_norm", fail)
+    monkeypatch.setattr(extremals, "mixed_norm", fail)
+    with pytest.raises(FormError, match="polarization cap"):
+        verify_instance(product_extremal((11, 11), 1.5), CFG)
 
 
 def test_verify_real44():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -179,6 +180,22 @@ def test_polarize_matches_tensor_oracle(field, m, d):
         a = polarize(form, xs)
         b = eval_tensor_direct(form, xs)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_tensor_holds_L_at_basis_vectors_and_is_symmetric(field, m, d):
+    form = random_form(np.random.default_rng(100 * m + 10 * d), m, d, field)
+    tensor = form._tensor
+    assert tensor.shape == (d,) * m and tensor.dtype == form._values.dtype
+    for idx in itertools.product(range(d), repeat=m):
+        assert abs(tensor[idx] - polarize(form, [e(i, d) for i in idx])) <= 1e-13
+        for perm in itertools.permutations(idx):
+            assert tensor[perm] == tensor[idx]
+    assert form._tensor_top == pytest.approx(np.abs(tensor).max(), rel=1e-15)
+    assert form._tensor is tensor  # built once per form
+    assert not zero_form(m, d, field)._tensor.any()
 
 
 def test_polarize_diagonal_recovers_poly():

@@ -1058,6 +1058,50 @@ def test_mixed_norm_witnesses_are_feasible_and_attain_the_value(p, field, patter
     assert est.value == pytest.approx(abs(eval_mixed(f, pattern, est.witnesses)), rel=1e-12)
 
 
+def test_a_block_left_inside_the_sup_norm_ball_is_rescaled_onto_the_sphere(monkeypatch):
+    # four of this form's starts end their first coordinate sweep at a sup
+    # norm of 0.84, strictly inside the ball
+    form = random_form(np.random.default_rng(18), 2, 3)
+    rescaled = []
+
+    def counted_values(form, pat, tuples):
+        rescaled.append(len(tuples))
+        return _values(form, pat, tuples)
+
+    def checked(form, pat, j, xs, vals, act):
+        before = vals[act].copy()
+        with monkeypatch.context() as mp:
+            # within a coordinate move only the rescaling evaluates through _values
+            mp.setattr(norms, "_values", counted_values)
+            _coordinate_moves(form, pat, j, xs, vals, act)
+        np.testing.assert_array_equal(np.abs(xs[act, j]).max(axis=1), 1.0)
+        assert (vals[act] >= before).all()
+        np.testing.assert_allclose(vals[act], _values(form, pat, xs[act]), rtol=1e-12)
+
+    monkeypatch.setattr(norms, "_coordinate_moves", checked)
+    est = poly_norm(form, SpaceSpec(math.inf, 3), OptimizerConfig(restarts=8))
+    assert sum(rescaled) == 4
+    assert lp_norm(est.witnesses[0], math.inf) == 1.0
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_mixed_norm_past_the_ternary_candidate_cap(p, field):
+    # at d = 10 the ternary grid has more than _CANDIDATE_CAP rows, so the
+    # structured starts hold no grid tuples
+    assert len(_ternary_candidates(10, p, field)) == 0
+    f = random_form(np.random.default_rng(10), 3, 10, field)
+    space = SpaceSpec(p, 10, field)
+    est = mixed_norm(f, space, (2, 1), OptimizerConfig(restarts=8))
+    for w in est.witnesses:
+        assert lp_norm(w, p) <= 1.0 + 1e-12
+    assert est.value == pytest.approx(abs(eval_mixed(f, (2, 1), est.witnesses)), rel=1e-12)
+    # past the cap the grid oracle scores random points only: 3-25% of the estimate here
+    assert est.value >= grid_oracle(f, space, (2, 1)).value
+    if p == 1.0:
+        assert est.value <= norms._certified_upper(f, p) * (1 + 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # ratio_report
 
