@@ -7,6 +7,8 @@ leaf is one of:
     rounding     numbers at most 4 ulp apart
     up           a larger number in NEW
     down         a smaller number in NEW
+    count        a JSON integer on both sides, such as starts_converged or
+                 index: a tally, never a value that moved
     non-numeric  anything else: text, a flag, a key, a row or a file that
                  one tree lacks, or a number that is not finite
     exit         a changed exit code
@@ -15,8 +17,9 @@ A changed usage error (a .err file) is one non-numeric change, shown by
 its last line, the error itself.  JSON outputs are walked key by key; csv
 and table outputs cell by cell, each cell named by its line and column
 header.  The script prints one row per command with its counts and its
-worst case, the largest relative change of a number, and exits 0 whatever
-differs, so it reports next to `diff -r` and never stands in for it:
+worst case, the largest relative change of a number that is not a count,
+and exits 0 whatever differs, so it reports next to `diff -r` and never
+stands in for it:
 
     python scripts/value_diff.py out-base out-head
 
@@ -35,7 +38,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-CLASSES = ("rounding", "up", "down", "non-numeric", "exit")
+CLASSES = ("rounding", "up", "down", "count", "non-numeric", "exit")
 ROUNDING_ULPS = 4
 
 
@@ -57,6 +60,8 @@ def _number(leaf):
 
 def classify(old, new):
     """(class, relative change or None) of a changed leaf."""
+    if all(isinstance(x, int) and not isinstance(x, bool) for x in (old, new)):
+        return "count", None
     a, b = _number(old), _number(new)
     # a JSON number that became a string, or back, is a change of text
     if a is None or b is None or isinstance(old, str) != isinstance(new, str) \

@@ -94,25 +94,28 @@ def product_extremal(pattern, p: float, field: str = REAL) -> ExtremalInstance:
     form = product_form(m, m, field)
     block_of = np.repeat(np.arange(pat.n), pat.multiplicities)  # each coordinate's block
     witnesses = [np.where(block_of == j, k ** (-1.0 / p), 0.0) for j, k in enumerate(pat)]
-    prod_kk = math.prod(k**k for k in pat)
-    prod_fact = math.prod(math.factorial(k) for k in pat)
-    exact_poly = m ** (-m / p)
-    try:
-        exact_ratio = (m**m / prod_kk) ** (1.0 / p) * prod_fact / math.factorial(m)
-    except OverflowError:
-        raise FormError(
-            f"the exact constants of a degree-{m} pattern with {pat.n} blocks "
-            "leave the float range"
-        ) from None
     sharp = p <= conjugate_exponent(m)
+    # the witness ratio is stored only where it is the constant, and one
+    # block's is float(m!) / m! = 1.0
+    exact_ratio = 1.0 if pat.n == 1 else None
+    if sharp and pat.n > 1:
+        prod_kk = math.prod(k**k for k in pat)
+        prod_fact = math.prod(math.factorial(k) for k in pat)
+        try:
+            exact_ratio = (m**m / prod_kk) ** (1.0 / p) * prod_fact / math.factorial(m)
+        except OverflowError:
+            raise FormError(
+                f"the exact constants of a degree-{m} pattern with {pat.n} blocks "
+                "leave the float range"
+            ) from None
     return ExtremalInstance(
         name="product",
         form=form,
         space=space,
         pattern=pat,
         witnesses=witnesses,
-        exact_poly_norm=exact_poly,
-        exact_ratio=exact_ratio if sharp or pat.n == 1 else None,
+        exact_poly_norm=m ** (-m / p),
+        exact_ratio=exact_ratio,
         ratio_is_sharp=sharp,
         citation="disjoint block vectors saturate the complex ell_p constant",
     )

@@ -49,11 +49,11 @@ quadratic at p = 2.  The ascent ends once its best value is within
 rounding of that bound, at least upper * (1 - 4 eps): values evaluated
 through the polarization sum can read a few ulps below a bound they meet.
 The bound stays the proof and no value is clamped to it.  The stop is
-tested before any backtracking move (gradient or coordinate) and at the
-end of each sweep, so a start that meets the bound before the first move
-ends the ascent before any ladder is walked, and an all-linear pattern
-after its first exact sweep.  starts_converged still counts only the
-starts that met tol.
+tested on fresh values before every move, exact dual_align moves included,
+so a start that meets the bound ends the ascent before any move of any
+pattern; after a linear move the next test waits for the values a later
+non-linear move or the sweep's end evaluates.  starts_converged still
+counts only the starts that met tol.
 """
 
 from __future__ import annotations
@@ -542,11 +542,11 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
 
     converged marks the starts that met tol.  With upper, a proven upper
     bound on every value, all starts stop as soon as the best value is at
-    least upper * (1 - _UPPER_MARGIN), within rounding of upper, tested on
-    fresh values before each backtracking move and at the end of each
-    sweep; those still iterating stay unconverged.  No test precedes an
-    exact dual_align move, so an all-linear pattern stops at the end of its
-    first sweep at the earliest.
+    least upper * (1 - _UPPER_MARGIN), within rounding of upper, tested
+    before every move whose block sees fresh values; those still iterating
+    stay unconverged.  A linear move leaves the values stale, so the test
+    after it waits for the next non-linear block or, as the next sweep's
+    first test, for the sweep's end.
 
     The starts still iterating (act) make each move together, and each move
     evaluates the batch xs[act] it reads; every start keeps its own step
@@ -564,20 +564,19 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     for _ in range(cfg.max_iter):
         before = vals[act]
         # after a linear move the values are evaluated only once a later
-        # move or the sweep's end needs them
+        # non-linear move or the sweep's end needs them
         stale = False
         for j, k_j in enumerate(pat.multiplicities):
+            if stale and k_j != 1:
+                vals[act] = _values(form, pat, xs[act])
+                stale = False
+            if not stale and stop is not None and vals.max() >= stop:
+                return vals, xs, converged
             if k_j == 1:
                 _, grads = _value_grads(form, pat, xs[act])
                 xs[act, j] = dual_align(grads[:, j], p, d)
                 stale = True
-                continue
-            if stale:
-                vals[act] = _values(form, pat, xs[act])
-                stale = False
-            if stop is not None and vals.max() >= stop:
-                return vals, xs, converged
-            if real_sup:
+            elif real_sup:
                 _coordinate_moves(form, pat, j, xs, vals, act)
             else:
                 _gradient_moves(form, p, pat, j, xs, vals, steps, act, cfg.init_step)
@@ -585,8 +584,6 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
             vals[act] = _values(form, pat, xs[act])
         done = vals[act] - before <= cfg.tol * np.maximum(vals[act], 1e-300)
         converged[act[done]] = True
-        if stop is not None and vals.max() >= stop:
-            break
         act = act[~done]
         if not len(act):
             break

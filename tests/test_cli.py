@@ -512,14 +512,19 @@ def test_extremal_writes_form_and_sidecar(capsys, tmp_path):
     assert sidecar["witnesses"][0] == [0.5, 0.5, 0.0]
 
 
-@pytest.mark.parametrize("pattern", ["200", ",".join(["1"] * 144)], ids=["200", "1x144"])
-def test_extremal_product_past_the_float_range_exit_2(capsys, pattern):
+@pytest.mark.parametrize("pattern,p,message", [
+    (",".join(["1"] * 144), "1", "float range"),
+    # built now, with the ratio 1.0 of one block; the report's witness
+    # value needs the polarization sum, which the cap refuses
+    ("200", "1.5", "polarization cap"),
+], ids=["1x144", "200"])
+def test_extremal_product_past_the_float_range_exit_2(capsys, pattern, p, message):
     code, out, err = run_cli(
-        capsys, "extremal", "--extremal", "product", "--pattern", pattern, "--p", "1.5",
+        capsys, "extremal", "--extremal", "product", "--pattern", pattern, "--p", p,
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "float range" in err
+    assert err.startswith("error:") and message in err
 
 
 def test_csv_json_numeric_agreement(capsys):

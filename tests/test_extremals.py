@@ -78,12 +78,16 @@ def test_product_extremal_rejects_infinite_p():
 
 
 def test_product_extremal_refuses_constants_past_the_float_range():
-    # the guard sits in m^m / prod k^k, so it holds whether or not the ratio is stored
-    product_extremal((1,) * 143, 1.5)
+    # the guard sits in m^m / prod k^k, computed only where the ratio is
+    # stored: p <= m' with two or more blocks
     assert math.isfinite(product_extremal((1,) * 143, 1.0).exact_ratio)
-    for pattern in [(1,) * 144, (171,), (170, 30)]:
-        with pytest.raises(FormError, match="float range"):
-            product_extremal(pattern, 1.5)
+    with pytest.raises(FormError, match="float range"):
+        product_extremal((1,) * 144, 1.0)
+    # past m' no ratio is stored, and one block's is 1.0 without m!
+    for pattern, ratio in [((1,) * 144, None), ((170, 30), None), ((171,), 1.0)]:
+        instance = product_extremal(pattern, 1.5)
+        assert instance.exact_ratio == ratio
+        assert 0.0 < instance.exact_poly_norm < 1.0
 
 
 def test_product_extremal_sharpness_flag_range():

@@ -1331,8 +1331,9 @@ def test_nonattaining_instance_evaluates_values_alone_rarely(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     verify_instance(nonattaining_bilinear(9))
     # the certificate stops the poly estimate before its first gradient move
-    # and the multilinear one after its first sweep: 6 eval_batch and 2
-    # eval_grad_batch calls, each move evaluating the batch it reads.
+    # and the multilinear one before its first exact move: 5 eval_batch
+    # calls and no eval_grad_batch call (6 and 2 when the multilinear one
+    # stopped after its first sweep), each move evaluating the batch it reads.
     # Without the certificate all 500 + 500 sweeps take 985 and 1452, and
     # carrying evaluations from move to move took 36 and 1483
     assert calls["eval_batch"] <= 40
@@ -1640,10 +1641,31 @@ def test_nonattaining_instance_stops_at_its_certificate(monkeypatch):
     verify_instance(nonattaining_bilinear(49))
     # the axis start e_49 attains the certificate max a_i = 49/50 before any
     # move, so the poly estimate stops before its first gradient move and the
-    # multilinear one, whose moves are exact, after its first sweep: 6 + 2
-    # kernel calls, against 17 + 3 when every start first walked its ladder
-    # and 16 + 1503 for all 500 + 500 sweeps
-    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 8
+    # multilinear one before its first exact move: 5 + 0 kernel calls,
+    # against 6 + 2 when the multilinear one stopped after its first sweep,
+    # 17 + 3 when every start first walked its ladder and 16 + 1503 for all
+    # 500 + 500 sweeps
+    assert calls["eval_batch"] + calls["eval_grad_batch"] <= 5
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("pattern", [(1, 1), (1, 1, 1)])
+def test_an_all_linear_estimate_whose_start_meets_its_certificate_makes_no_move(pattern, field):
+    # at p = 1 the scored start grid holds the vertex tuple at the largest
+    # tensor entry U, so the stop fires before the first exact move
+    space, eps = SpaceSpec(1.0, 3, field), np.finfo(float).eps
+    for seed in range(8):
+        form = random_form(np.random.default_rng(seed), len(pattern), 3, field)
+        upper = norms._certified_upper(form, 1.0)
+        cfg = OptimizerConfig(seed=seed)
+        poly = poly_norm(form, space, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_kernel_calls(mp)
+            estimate = mixed_norm(form, space, pattern, cfg, poly=poly)
+        assert calls["eval_grad_batch"] == 0
+        assert estimate.starts_converged == 0
+        # values reach U through the polarization sum, a few ulps either way
+        assert abs(estimate.value - upper) <= 4 * eps * upper
 
 
 def _axis_dominated_form(source, field, m, seed):
@@ -1683,16 +1705,34 @@ def test_an_axis_start_that_meets_the_certificate_stops_the_estimate_before_any_
     assert value == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [9, 49])
+def _count_dual_align_calls(monkeypatch):
+    calls = {"dual_align": 0}
+    original = norms.dual_align
+
+    def counted(*args):
+        calls["dual_align"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(norms, "dual_align", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [9, 49, 99])
 def test_the_certificate_stop_leaves_the_nonattaining_estimates_as_they_were(monkeypatch, n):
     from polarnorm.extremals import nonattaining_bilinear, verify_instance
 
     instance = nonattaining_bilinear(n)
-    stopped = verify_instance(instance)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_kernel_calls(mp) | _count_dual_align_calls(mp)
+        stopped = verify_instance(instance)
     monkeypatch.setattr(norms, "_certified_upper", lambda form, p: None)
     full = verify_instance(instance)
-    # the poly estimate stops before any move, so no start has met tol
-    assert stopped.poly.starts_converged == 0
+    # the axis start e_n meets the certificate n/(n+1) exactly, so both
+    # estimates stop before any move, the mixed one's exact moves included,
+    # and no start has met tol
+    assert stopped.poly.starts_converged == stopped.mixed.starts_converged == 0
+    assert calls["eval_grad_batch"] == calls["dual_align"] == 0
+    assert stopped.poly.value == stopped.mixed.value == n / (n + 1.0)
     for a, b in ((stopped.poly, full.poly), (stopped.mixed, full.mixed)):
         a, b = a.to_dict(), b.to_dict()
         # more starts meet tol in 500 sweeps than in the one that stops

@@ -45,6 +45,26 @@ def test_a_changed_number_is_rounding_up_or_down(tmp_path, new, expected):
     assert _classes(tmp_path, _report(1.0), _report(new)) == {"01-verify": expected}
 
 
+def test_a_changed_integer_is_a_count_and_never_the_worst_change(tmp_path):
+    old, new = _report(1.0), _report(1.0 + 5 * 2.0**-52)
+    for files, converged in ((old, 11), (new, 0)):
+        doc = json.loads(files["01-verify.json"])
+        doc["results"][0]["starts_converged"] = converged
+        files["01-verify.json"] = json.dumps(doc)
+    diffs = value_diff.compare_trees(_tree(tmp_path / "old", old), _tree(tmp_path / "new", new))
+    assert [(c[0], c[1], c[2]) for c in diffs["01-verify"]] == [
+        ("01-verify.json.results[0].ratio", "up", pytest.approx(5 * 2.0**-52)),
+        ("01-verify.json.results[0].starts_converged", "count", None),
+    ]
+    line = value_diff.report(diffs).splitlines()[1]
+    assert line.split()[:7] == ["01-verify", "0", "1", "0", "1", "0", "0"]
+    assert "at 01-verify.json.results[0].ratio" in line
+    # a bool is a flag, an integer that became a float a changed number
+    assert value_diff.classify(True, False)[0] == "non-numeric"
+    assert value_diff.classify(1, 1.5) == ("up", pytest.approx(1 / 3))
+    assert value_diff.classify(3, 1) == ("count", None)
+
+
 def test_a_flag_a_missing_key_and_a_missing_file_are_non_numeric(tmp_path):
     old = _report(1.0)
     new = _report(1.0, passed=False)
@@ -90,7 +110,7 @@ def test_the_table_names_the_worst_change_and_the_script_exits_0(tmp_path, capsy
     assert lines[0].split() == ["command", *value_diff.CLASSES, "worst"]
     assert lines[1].split()[:6] == ["01-verify", "0", "1", "0", "0", "0"]
     assert "0.33 at 01-verify.json.results[0].ratio: 1.0 -> 1.5" in lines[1]
-    assert lines[2].split()[1:] == ["0"] * 5 + ["-"]
+    assert lines[2].split()[1:] == ["0"] * len(value_diff.CLASSES) + ["-"]
     assert lines[-1] == "1 of 2 commands changed"
 
 
