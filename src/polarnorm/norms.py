@@ -49,11 +49,11 @@ quadratic at p = 2.  The ascent ends once its best value is within
 rounding of that bound, at least upper * (1 - 4 eps): values evaluated
 through the polarization sum can read a few ulps below a bound they meet.
 The bound stays the proof and no value is clamped to it.  The stop is
-tested on fresh values before every move, exact dual_align moves included,
-so a start that meets the bound ends the ascent before any move of any
-pattern; after a linear move the next test waits for the values a later
-non-linear move or the sweep's end evaluates.  starts_converged still
-counts only the starts that met tol.
+tested on the structured starts alone first, so one that meets the bound
+ends the estimate before any move or restart draw; then on fresh values
+before every move, exact dual_align moves included.  After a linear move
+the next test waits for the values a later non-linear move or the sweep's
+end evaluates.  starts_converged still counts only the starts that met tol.
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ class OptimizerConfig:
 
     Each restart draws from an independent substream derived from
     (seed, restart index).  The draws depend only on the seed, the restart
-    count and the space, so they are built once per key, cached, and
-    shared by every block count.  All starts of one estimate ascend
-    together in lockstep, so parallel is accepted for compatibility and
-    has no effect on what is computed or returned.  The tolerance applies
-    to the relative objective change between accepted iterates.  tol and
-    init_step must be positive, init_step finite, and max_iter and seed at
-    least 0; NormError otherwise.
+    count and the space, so they are built at most once per key, cached,
+    and shared by every block count; an estimate whose structured starts
+    meet a certified upper bound draws none.  All starts of one estimate
+    ascend together in lockstep, so parallel is accepted for compatibility
+    and has no effect on what is computed or returned.  The tolerance
+    applies to the relative objective change between accepted iterates.
+    restarts must be at least 1, tol and init_step positive, init_step
+    finite, and max_iter and seed at least 0; NormError otherwise.
     """
 
     restarts: int = 32
@@ -435,19 +436,20 @@ def _start_grid(support: tuple, dim: int, p: float, field: str, multiplicities: 
 
 
 def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
-    """Argument tuples (S, n, d) to ascend from: the diagonal witness, axes, the
-    normalized ones vector, the best ternary tuples at p in {1, inf}, the
-    caller's extra starts, then one seeded random tuple per restart.
+    """Argument tuples (H, n, d) to ascend from, and a callable that draws
+    (restarts, n, d) more: the diagonal witness, axes, the normalized ones
+    vector, the best ternary tuples at p in {1, inf} and the caller's extra
+    starts, then one seeded random tuple per restart, drawn when called.
 
     The ternary tuples are the top values of the product grid of class
     representatives, so no two are unit multiples block by block; the grid
     is scored only while it has at most _CANDIDATE_CAP tuples.  Its tuples
     and monomials (_start_grid) and the restart tuples come from small
-    per-key caches, read-only; the final np.concatenate copies them.
+    per-key caches, read-only; np.concatenate copies the first.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
-    parts: list[np.ndarray] = []
+    parts = [np.empty((0, n, d), dtype)]
     if cfg.structured_starts:
         # each of these vectors fills every block of its start
         vectors = [np.eye(d, dtype=dtype), radial_normalize(np.ones((1, d), dtype=dtype), p)]
@@ -464,8 +466,8 @@ def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_
         parts.append(np.array([[np.asarray(x, dtype=dtype) for x in xs] for xs in extra_starts]))
     # as many blocks as any estimate of this form takes, so they share one draw
     blocks = max(n, form.degree if form.degree <= POLARIZE_DEGREE_CAP else 1)
-    parts.append(_restart_tuples(cfg.seed, cfg.restarts, blocks, d, p, form.field)[:, :n])
-    return np.concatenate(parts)
+    return np.concatenate(parts), lambda: _restart_tuples(cfg.seed, cfg.restarts, blocks, d, p,
+                                                          form.field)[:, :n]
 
 
 def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
@@ -536,8 +538,9 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
 
 
 def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig,
-                  *, upper: float | None = None):
-    """Cyclic block moves from every start xs0 (S, n, d) in lockstep:
+                  *, upper: float | None = None, restarts=None):
+    """Cyclic block moves from every start xs0 (S, n, d) in lockstep, and
+    from restarts() after them unless upper stops the ascent on xs0 alone:
     (values (S,), xs (S, n, d), converged (S,)).
 
     converged marks the starts that met tol.  With upper, a proven upper
@@ -553,10 +556,17 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     sizes and leaves when it converges, so it follows the path it would
     follow alone.
     """
+    stop = None if upper is None else upper * (1 - _UPPER_MARGIN)
+    if restarts is not None:
+        if stop is not None and len(xs0):
+            xs = _sphere_move(xs0.reshape(-1, xs0.shape[2]), p).reshape(xs0.shape)
+            if (vals := _values(form, pat, xs)).max() >= stop:
+                return vals, xs, np.zeros(len(xs), dtype=bool)
+        # all starts evaluated again: a row's rounding depends on the batch size
+        xs0 = np.concatenate([xs0, restarts()])
     S, n, d = xs0.shape
     xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
     real_sup = form.field == REAL and math.isinf(p)
-    stop = None if upper is None else upper * (1 - _UPPER_MARGIN)
     vals = _values(form, pat, xs)
     steps = np.full((S, n), cfg.init_step)
     converged = np.zeros(S, dtype=bool)
@@ -619,13 +629,13 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
 
 def _estimate(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness,
               method: str) -> NormEstimate:
-    """Best block ascent over all starts, renormalized onto the unit sphere;
-    the ascent stops early once its best value is within rounding of
-    _certified_upper.  NormError when that value is not finite."""
+    """Best block ascent from _starts, renormalized onto the unit sphere; it
+    stops, if it can before the restarts are drawn, once its best value is
+    within rounding of _certified_upper.  NormError for a value not finite."""
     p = space.p
-    starts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
-    vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg,
-                                            upper=_certified_upper(form, p))
+    head, restarts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+    vals, tuples, converged = _block_ascent(form, p, pat, head, cfg,
+                                            upper=_certified_upper(form, p), restarts=restarts)
     xs = tuples[int(np.argmax(vals))]
     nonzero = lp_norm(xs, p) > 0
     xs[nonzero] = radial_normalize(xs[nonzero], p)

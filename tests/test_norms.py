@@ -439,7 +439,7 @@ def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
     form = random_form(np.random.default_rng(3), 3, 3, COMPLEX)
     space = SpaceSpec(1.0, 3, COMPLEX)
     pat = as_pattern((2, 1))
-    starts = _starts(form, space, pat, OptimizerConfig(restarts=1, seed=3), (), None)
+    starts = _all_starts(form, space, pat, OptimizerConfig(restarts=1, seed=3), (), None)
     # the d axes and the ones vector come first, the restart last
     ternary = starts[4:-1]
     assert len(ternary) == norms._TOP_CANDIDATE_STARTS
@@ -448,6 +448,13 @@ def test_ternary_starts_are_pairwise_inequivalent_under_block_unit_scalars():
     for j in range(pat.n):
         same &= _unit_multiples(ternary[:, j], ternary[:, j], COMPLEX)
     assert (same == np.eye(len(ternary), dtype=bool)).all()
+
+
+def _all_starts(form, space, pat, cfg, extra_starts, diag_witness):
+    """Every start an estimate may ascend from: the structured ones, then the
+    restarts."""
+    head, restarts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+    return np.concatenate([head, restarts()])
 
 
 def _clear_start_caches():
@@ -476,25 +483,40 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_each_report_draws_each_restart_once(monkeypatch):
-    # all forms of one verify share the config, and the poly estimates
-    # (n = 1) and the mixed estimates (n = 2) share one draw
-    from polarnorm.extremals import nonattaining_bilinear, verify_instance
-
+def _count_restart_draws(monkeypatch):
     calls = []
     original = norms._restart_rng
     monkeypatch.setattr(norms, "_restart_rng", lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_each_report_draws_each_restart_once(monkeypatch):
+    # no certificate applies to a real cubic at p = 1.5: all forms of one
+    # verify share the config, and the poly estimates (n = 1) and the mixed
+    # estimates (n = 2) share one draw
+    calls = _count_restart_draws(monkeypatch)
+    _clear_start_caches()
+    rng = np.random.default_rng(3)
+    forms = [random_form(rng, 3, 3) for _ in range(5)]
+    cfg = OptimizerConfig(restarts=8, seed=3)
+    verify_samples(forms, SpaceSpec(1.5, 3), (2, 1), cfg, 5e-3)
+    assert len(calls) == cfg.restarts
+
+
+def test_estimates_certified_on_their_structured_starts_draw_no_restart(monkeypatch):
+    # at p = 1 the scored grid holds the vertex tuple at the largest tensor
+    # entry, and on the non-attaining instance the axis e_n meets n/(n+1):
+    # every estimate ends on its structured starts, before any draw
+    from polarnorm.extremals import nonattaining_bilinear, verify_instance
+
+    calls = _count_restart_draws(monkeypatch)
     _clear_start_caches()
     rng = np.random.default_rng(3)
     forms = [random_form(rng, 3, 3, COMPLEX) for _ in range(5)]
-    cfg = OptimizerConfig(restarts=8, seed=3)
-    verify_samples(forms, SpaceSpec(1.0, 3, COMPLEX), (2, 1), cfg, 5e-3)
-    assert len(calls) == cfg.restarts
-    # the poly estimate (n = 1) and the multilinear one (n = 2) of one instance
-    _clear_start_caches()
-    calls.clear()
+    verify_samples(forms, SpaceSpec(1.0, 3, COMPLEX), (2, 1), OptimizerConfig(restarts=8, seed=3),
+                   5e-3)
     verify_instance(nonattaining_bilinear(9))
-    assert len(calls) == norms.DEFAULT_CONFIG.restarts
+    assert calls == [] and norms._restart_tuples.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("field,p", [(COMPLEX, 1.0), (REAL, math.inf), (REAL, 1.5)])
@@ -503,8 +525,8 @@ def test_starts_are_the_same_from_a_cold_and_a_warm_cache(field, p):
     space, pat = SpaceSpec(p, 3, field), as_pattern((2, 1))
     cfg = OptimizerConfig(restarts=6, seed=9)
     _clear_start_caches()
-    cold = _starts(form, space, pat, cfg, (), None)
-    warm = _starts(form, space, pat, cfg, (), None)
+    cold = _all_starts(form, space, pat, cfg, (), None)
+    warm = _all_starts(form, space, pat, cfg, (), None)
     assert np.array_equal(cold, warm) and cold.flags.writeable
     # the restarts, last, are the draws of one generator per restart
     assert np.array_equal(cold[-cfg.restarts:],
@@ -528,7 +550,7 @@ def test_restart_starts_have_the_bits_of_one_draw_per_vector(field, p, m, poly_f
     for _ in ("cold", "warm"):
         for pattern in patterns:
             pat = as_pattern(pattern)
-            starts = _starts(form, space, pat, cfg, (), None)
+            starts = _all_starts(form, space, pat, cfg, (), None)
             assert starts.flags.writeable
             assert _same_bits(starts, _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field))
             starts[:] = 0.0
@@ -558,10 +580,10 @@ def test_cached_start_material_is_read_only():
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
     before = tuples.copy()
-    starts = _starts(form, SpaceSpec(1.0, 3, COMPLEX), as_pattern((2, 1)),
-                     OptimizerConfig(restarts=2), (), None)
-    assert starts.flags.writeable
-    starts[:] = 0.0
+    head, restarts = _starts(form, SpaceSpec(1.0, 3, COMPLEX), as_pattern((2, 1)),
+                             OptimizerConfig(restarts=2), (), None)
+    assert head.flags.writeable and not restarts().flags.writeable
+    head[:] = 0.0
     assert _same_bits(tuples, before)
 
 
@@ -601,7 +623,7 @@ def test_grid_scores_and_starts_are_the_same_from_a_cold_and_a_warm_cache(dim, p
                 _assert_bitwise_equal(a, b)
         if not warm:
             _clear_start_caches()
-        starts = _starts(form, space, pat, cfg, (), None)
+        starts = _all_starts(form, space, pat, cfg, (), None)
         _assert_bitwise_equal(starts, _stacked_starts(form, space, pat, cfg, (), None))
     # the cold _starts built the material once; the warm pass built nothing
     assert norms._start_grid.cache_info().misses == 1
@@ -623,7 +645,7 @@ def test_forms_with_different_supports_never_share_grid_material(pattern, field,
     cold = []
     for form in forms:
         _clear_start_caches()
-        cold.append((_grid_scores(form, space, pat), _starts(form, space, pat, cfg, (), None)))
+        cold.append((_grid_scores(form, space, pat), _all_starts(form, space, pat, cfg, (), None)))
     for order in itertools.permutations(range(len(forms))):
         _clear_start_caches()
         for i in order:
@@ -631,7 +653,7 @@ def test_forms_with_different_supports_never_share_grid_material(pattern, field,
             got_tuples, got_scores = _grid_scores(forms[i], space, pat)
             _assert_bitwise_equal(got_tuples, tuples)
             _assert_bitwise_equal(got_scores, scores)
-            _assert_bitwise_equal(_starts(forms[i], space, pat, cfg, (), None), starts)
+            _assert_bitwise_equal(_all_starts(forms[i], space, pat, cfg, (), None), starts)
         assert norms._start_grid.cache_info().currsize == len(forms)
 
 
@@ -697,7 +719,7 @@ def test_starts_have_the_bits_of_one_stacked_start_at_a_time(field, p, pattern, 
         diag_witness = radial_normalize(rng.standard_normal(3), p)
         if field == COMPLEX:
             diag_witness = diag_witness * np.exp(0.3j)
-    got = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+    got = _all_starts(form, space, pat, cfg, extra_starts, diag_witness)
     expected = _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness)
     assert got.dtype == expected.dtype and got.flags.writeable
     assert _same_bits(got, expected)
@@ -891,7 +913,7 @@ def test_lockstep_matches_each_start_alone(pattern, p, field):
     f = random_form(rng, pat.m, 3, field)
     space = SpaceSpec(p, 3, field)
     cfg = OptimizerConfig(restarts=4, seed=5)
-    starts = _starts(f, space, pat, cfg, (), None)
+    starts = _all_starts(f, space, pat, cfg, (), None)
     vals, xs, _ = _block_ascent(f, p, pat, starts, cfg)
     for s in range(len(starts)):
         alone, _, _ = _block_ascent(f, p, pat, starts[s:s + 1], cfg)
@@ -942,7 +964,7 @@ def test_halving_ladder_matches_serial_backtracking(pattern, p, field):
     pat = as_pattern(pattern)
     f = _stationary_form(pat.m, 3, field, np.random.default_rng(67))
     cfg = OptimizerConfig(restarts=21, seed=2, structured_starts=False)
-    random_starts = _starts(f, SpaceSpec(p, 3, field), pat, cfg, (), None)
+    random_starts = _all_starts(f, SpaceSpec(p, 3, field), pat, cfg, (), None)
     # at e_1 no step improves, so its ladders run out, from 0.5 and at the
     # _MIN_STEP edge; the value there is exact in any batch
     e1 = np.eye(1, 3, dtype=random_starts.dtype).repeat(pat.n, axis=0)
@@ -1175,8 +1197,9 @@ def test_the_best_start_is_the_first_of_equal_highest_values(monkeypatch):
     def ascent(*args, **kwargs):
         return np.array([0.5, 1.0, 1.0, 0.25]), tuples.copy(), np.zeros(len(tuples), dtype=bool)
 
+    # no certificate applies at p = 1.5, so the pick sees every start
     monkeypatch.setattr(norms, "_block_ascent", ascent)
-    est = poly_norm(product_form(2, 2), SpaceSpec(2.0, 2), CFG)
+    est = poly_norm(product_form(2, 2), SpaceSpec(1.5, 2), CFG)
     assert _same_bits(est.witnesses[0], tuples[1, 0])
 
 
@@ -1197,13 +1220,14 @@ def test_mixed_norm_given_the_poly_estimate_is_unchanged(pattern, space):
 @pytest.mark.parametrize("setting", [
     {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
     {"init_step": math.nan}, {"init_step": 0.0}, {"init_step": -0.5}, {"init_step": math.inf},
-    {"max_iter": -1}, {"seed": -1},
+    {"max_iter": -1}, {"seed": -1}, {"restarts": 0}, {"restarts": -1},
 ])
 def test_optimizer_config_rejects_settings_that_make_no_ascent(setting):
     # a NaN tol converged no start; a NaN, zero or negative init_step made no
     # move (a real cubic at p = 1.5 stayed at 1.3040 against 1.3131), and an
     # infinite one never ended its halving ladder; a negative seed failed
-    # later, in numpy's SeedSequence, with a bare ValueError
+    # later, in numpy's SeedSequence, with a bare ValueError; with no restart
+    # an estimate without structured starts would have none to ascend from
     with pytest.raises(NormError):
         OptimizerConfig(**setting)
 
@@ -1304,7 +1328,7 @@ def test_carried_evaluations_leave_every_step_of_the_ascent_as_it_was(pattern, p
     pat = as_pattern(pattern)
     form = random_form(np.random.default_rng(97), pat.m, 3, field)
     cfg = OptimizerConfig(restarts=36, seed=4)
-    starts = _starts(form, SpaceSpec(p, 3, field), pat, cfg, (), None)
+    starts = _all_starts(form, SpaceSpec(p, 3, field), pat, cfg, (), None)
     for size in (1, 2, 9, 40):
         got = _block_ascent(form, p, pat, starts[:size], cfg)
         expected = _fresh_block_ascent(form, p, pat, starts[:size], cfg)
@@ -1313,12 +1337,15 @@ def test_carried_evaluations_leave_every_step_of_the_ascent_as_it_was(pattern, p
 
 
 def _count_kernel_calls(monkeypatch):
+    """Calls of each kernel, and under "<kernel>_points" the rows they evaluated."""
     calls = {"eval_batch": 0, "eval_grad_batch": 0}
-    for name in calls:
+    for name in list(calls):
         original = getattr(SymmetricForm, name)
+        calls[name + "_points"] = 0
 
         def counted(self, points, _original=original, _name=name):
             calls[_name] += 1
+            calls[_name + "_points"] += len(points)
             return _original(self, points)
 
         monkeypatch.setattr(SymmetricForm, name, counted)
@@ -1331,9 +1358,10 @@ def test_nonattaining_instance_evaluates_values_alone_rarely(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     verify_instance(nonattaining_bilinear(9))
     # the certificate stops the poly estimate before its first gradient move
-    # and the multilinear one before its first exact move: 5 eval_batch
-    # calls and no eval_grad_batch call (6 and 2 when the multilinear one
-    # stopped after its first sweep), each move evaluating the batch it reads.
+    # and the multilinear one before its first exact move, both on their
+    # structured starts, before any restart is drawn: 5 eval_batch calls and
+    # no eval_grad_batch call (6 and 2 when the multilinear one stopped after
+    # its first sweep), each move evaluating the batch it reads.
     # Without the certificate all 500 + 500 sweeps take 985 and 1452, and
     # carrying evaluations from move to move took 36 and 1483
     assert calls["eval_batch"] <= 40
@@ -1352,7 +1380,7 @@ def test_a_steady_sweep_evaluates_each_batch_it_reads_once(monkeypatch, pattern,
     inst = nonattaining_bilinear(9)
     pat = as_pattern(pattern)
     cfg = OptimizerConfig(restarts=8, seed=1, structured_starts=False)
-    starts = _starts(inst.form, inst.space, pat, cfg, (), None)
+    starts = _all_starts(inst.form, inst.space, pat, cfg, (), None)
     calls = _count_kernel_calls(monkeypatch)
     totals = []
     for sweeps in (20, 30):
@@ -1598,7 +1626,7 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
     pat = as_pattern((2, 1))
     form = random_form(np.random.default_rng(61), 3, 3, field)
     cfg = OptimizerConfig(restarts=4, seed=5)
-    starts = _starts(form, SpaceSpec(1.5, 3, field), pat, cfg, (), None)
+    starts = _all_starts(form, SpaceSpec(1.5, 3, field), pat, cfg, (), None)
     one_sweep = _block_ascent(form, 1.5, pat, starts, replace(cfg, max_iter=1))
     leader = one_sweep[0].max()
     # the stop allows a few ulps of rounding: the largest upper bound the
@@ -1620,7 +1648,7 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
                   np.nextafter(first.max(), -np.inf), 0.0):
         calls.update(eval_batch=0, eval_grad_batch=0)
         vals, xs, converged = _block_ascent(form, 1.5, pat, starts, cfg, upper=upper)
-        assert calls == {"eval_batch": 1, "eval_grad_batch": 0}
+        assert (calls["eval_batch"], calls["eval_grad_batch"]) == (1, 0)
         _assert_bitwise_equal(vals, first)
         _assert_bitwise_equal(xs, moved)
         assert not converged.any()
@@ -1638,6 +1666,8 @@ def test_nonattaining_instance_stops_at_its_certificate(monkeypatch):
     from polarnorm.extremals import nonattaining_bilinear, verify_instance
 
     calls = _count_kernel_calls(monkeypatch)
+    draws = _count_restart_draws(monkeypatch)
+    norms._restart_tuples.cache_clear()
     verify_instance(nonattaining_bilinear(49))
     # the axis start e_49 attains the certificate max a_i = 49/50 before any
     # move, so the poly estimate stops before its first gradient move and the
@@ -1646,6 +1676,11 @@ def test_nonattaining_instance_stops_at_its_certificate(monkeypatch):
     # 17 + 3 when every start first walked its ladder and 16 + 1503 for all
     # 500 + 500 sweeps
     assert calls["eval_batch"] + calls["eval_grad_batch"] <= 5
+    # both stop on their structured starts, so no restart is drawn and the
+    # 32 restarts' rows are never evaluated: 267 rows, against 427 when each
+    # estimate evaluated its restarts with the structured starts
+    assert draws == []
+    assert calls["eval_batch_points"] <= 267
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1738,3 +1773,121 @@ def test_the_certificate_stop_leaves_the_nonattaining_estimates_as_they_were(mon
         # more starts meet tol in 500 sweeps than in the one that stops
         assert a.pop("starts_converged") <= b.pop("starts_converged")
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the restarts, drawn only when the structured starts fall short of a certificate
+
+
+def _estimate_over_every_start(form, space, pat, cfg, extra_starts, diag_witness, method):
+    """_estimate with the restarts drawn up front: the block ascent over every
+    start, then the same pick of the winner and renormalization."""
+    p = space.p
+    starts = _all_starts(form, space, pat, cfg, extra_starts, diag_witness)
+    vals, tuples, converged = _block_ascent(form, p, pat, starts, cfg,
+                                            upper=norms._certified_upper(form, p))
+    xs = tuples[int(np.argmax(vals))]
+    nonzero = lp_norm(xs, p) > 0
+    xs[nonzero] = radial_normalize(xs[nonzero], p)
+    value = float(_values(form, pat, xs[None])[0])
+    if not math.isfinite(value):
+        raise NormError("the estimate is not finite: the form's values overflow")
+    return norms.NormEstimate(value, list(xs), method, int(converged.sum()))
+
+
+def _poly_and_mixed(form, space, pattern, cfg):
+    poly = poly_norm(form, space, cfg)
+    return [poly, mixed_norm(form, space, pattern, cfg, poly=poly)]
+
+
+def _instance_estimates(n):
+    from polarnorm.extremals import nonattaining_bilinear, verify_instance
+
+    report = verify_instance(nonattaining_bilinear(n))
+    return [report.poly, report.mixed]
+
+
+def test_a_certified_estimate_is_bitwise_the_estimate_over_every_start(monkeypatch):
+    # p = 1 forms and the non-attaining instance mostly stop on their
+    # structured starts; the tol rule stops most quadratics at p = 2 short of
+    # sigma_max, so their structured starts fall short and the restarts join
+    runs = []
+    for field in (REAL, COMPLEX):
+        for seed in range(8):
+            cfg = OptimizerConfig(restarts=8, seed=seed)
+            for pattern in [(3,), (2, 1), (1, 1, 1), (2, 2)]:
+                form = random_form(np.random.default_rng(seed), sum(pattern), 3, field)
+                runs.append((_poly_and_mixed, form, SpaceSpec(1.0, 3, field), pattern, cfg))
+            form = random_form(np.random.default_rng(seed), 2, 3, field)
+            runs.append((_poly_and_mixed, form, SpaceSpec(2.0, 3, field), (1, 1), cfg))
+    runs += [(_instance_estimates, n) for n in (9, 49, 99)]
+    lazy, draws, drew = norms._estimate, [], []
+    tuples = norms._restart_tuples
+    monkeypatch.setattr(norms, "_restart_tuples", lambda *a: draws.append(a) or tuples(*a))
+
+    def traced(*args):
+        before = len(draws)
+        estimate = lazy(*args)
+        drew.append(len(draws) > before)
+        return estimate
+
+    for run, *args in runs:
+        monkeypatch.setattr(norms, "_estimate", traced)
+        got = run(*args)
+        monkeypatch.setattr(norms, "_estimate", _estimate_over_every_start)
+        expected = run(*args)
+        for a, b in zip(got, expected, strict=True):
+            assert a.value.hex() == b.value.hex() and a.method == b.method
+            assert a.starts_converged == b.starts_converged
+            assert all(_same_bits(x, y) for x, y in zip(a.witnesses, b.witnesses, strict=True))
+    # both paths were taken: stopped on the structured starts, and drawn
+    assert set(drew) == {False, True}
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_the_restarts_join_the_ascent_as_if_drawn_up_front(field, monkeypatch):
+    pat, space = as_pattern((2, 1)), SpaceSpec(1.5, 3, field)
+    form = random_form(np.random.default_rng(61), 3, 3, field)
+    cfg = OptimizerConfig(restarts=4, seed=5)
+    head, restarts = _starts(form, space, pat, cfg, (), None)
+    every = np.concatenate([head, restarts()])
+    drawn = []
+
+    def draw():
+        drawn.append(True)
+        return restarts()
+
+    calls = _count_kernel_calls(monkeypatch)
+
+    def counted(*args, **kwargs):
+        calls.update(eval_batch=0, eval_grad_batch=0)
+        result = _block_ascent(*args, **kwargs)
+        return result, calls["eval_batch"] + calls["eval_grad_batch"]
+
+    # no bound: the structured starts are not evaluated alone; a bound they
+    # do not meet: they are, once more, and then every start as if drawn up
+    # front
+    for upper, alone in ((None, 0), (math.inf, 1)):
+        expected, up_front = counted(form, 1.5, pat, every, cfg, upper=upper)
+        got, lazy = counted(form, 1.5, pat, head, cfg, upper=upper, restarts=draw)
+        assert lazy == up_front + alone
+        for a, b in zip(got, expected):
+            _assert_bitwise_equal(a, b)
+    assert len(drawn) == 2
+    # a bound they meet: they alone come back as evaluated, none converged,
+    # with one kernel call and no draw
+    moved = _sphere_move(head.reshape(-1, 3), 1.5).reshape(head.shape)
+    first = _values(form, pat, moved)
+    (vals, xs, converged), lazy = counted(form, 1.5, pat, head, cfg, upper=first.max(),
+                                          restarts=draw)
+    assert lazy == 1 and len(drawn) == 2 and not converged.any()
+    _assert_bitwise_equal(vals, first)
+    _assert_bitwise_equal(xs, moved)
+    # no structured start: the restarts are drawn at once
+    none, draw_only = _starts(form, space, pat, replace(cfg, structured_starts=False), (), None)
+    assert none.shape == (0, pat.n, 3)
+    got, lazy = counted(form, 1.5, pat, none, cfg, upper=0.0, restarts=draw_only)
+    expected, up_front = counted(form, 1.5, pat, draw_only(), cfg, upper=0.0)
+    assert lazy == up_front == 1
+    for a, b in zip(got, expected):
+        _assert_bitwise_equal(a, b)
