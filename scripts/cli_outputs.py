@@ -67,6 +67,7 @@ COMMANDS = [
     "--foo bounds --pattern 2,1",
     "--seed 1 verify --pattern 2 --samples 1",
     "estimate --extremal product --pattern 2,1 --p 2",
+    "verify --pattern 2,1 --field complex --p inf --d 3 --samples 10 --seed 9",
 ]
 SUBCOMMANDS = ("bounds", "estimate", "verify", "table", "extremal")
 

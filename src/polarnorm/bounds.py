@@ -8,6 +8,7 @@ assembled from log-gamma terms so the asymptotic scans never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -669,8 +670,15 @@ def asymptotic_scan(pattern_family: Callable[[int], Sequence[int]], m_list: Sequ
 
 
 def applicable_bounds(pattern, p: Optional[float], field: str) -> list[BoundRecord]:
-    """Every proven calculator that covers (pattern, p, field), most specific first."""
-    pat = as_pattern(pattern)
+    """Every proven calculator that covers (pattern, p, field), most specific
+    first: a new list of the frozen records, built once per key."""
+    return list(_bound_table(as_pattern(pattern).multiplicities, p, field)[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _bound_table(multiplicities, p: Optional[float], field: str):
+    """(applicable records, their bound_best record), both frozen."""
+    pat = Pattern(multiplicities)
     if field not in (REAL, COMPLEX):
         raise BoundError(f"field must be 'real' or 'complex', got {field!r}")
     all_ones = set(pat.multiplicities) == {1}
@@ -698,21 +706,21 @@ def applicable_bounds(pattern, p: Optional[float], field: str) -> list[BoundReco
             if harris.proven:
                 records.append(harris)
     records.append(bound_banach_mazur(pat, p))
-    return records
-
-
-def bound_best(pattern, p: Optional[float], field: str) -> BoundRecord:
-    """Minimum over all applicable calculators, recording the winner."""
-    records = applicable_bounds(pattern, p, field)
     winner = records[0]
     for rec in records[1:]:
         if rec.value < winner.value:
             winner = rec
-    exact, note = _registry_exact(field, as_pattern(pattern).multiplicities)
+    exact, note = _registry_exact(field, multiplicities)
     note = f"from {winner.name}{note}"
-    # applicable_bounds keeps complex_lp only where it applies
+    # complex_lp is kept above only where it applies
     sharp_lp = [rec for rec in records if rec.name == "complex_lp" and rec.sharp]
     if exact is None and sharp_lp:
         exact = sharp_lp[0].value
         note += "; sharp on this p-range, attained by block products"
-    return replace(winner, name="best", exact=exact, note=note)
+    return tuple(records), replace(winner, name="best", exact=exact, note=note)
+
+
+def bound_best(pattern, p: Optional[float], field: str) -> BoundRecord:
+    """Minimum over all applicable calculators, recording the winner; frozen,
+    built once per (pattern, p, field)."""
+    return _bound_table(as_pattern(pattern).multiplicities, p, field)[1]

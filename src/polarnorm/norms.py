@@ -30,14 +30,15 @@ when it converges, so it accepts the same candidates it would accept
 alone, halving one step at a time.  The best start is the first of the
 highest values, in start order; an estimate that is not finite, from a
 form whose values overflow, raises NormError.  The ell_p geometry below
-acts row-wise on the last axis.  The seeded restart tuples depend only on
+acts row-wise on the last axis, so each start leaves _starts on the
+sphere, every row moved once.  The seeded restart tuples depend only on
 (seed, restarts, space), not on the form, so they are drawn once per key
 and cached read-only, and every block count takes the first blocks of
-one draw.  So are the ternary grid's tuples and the monomials of their
-points at p in {1, inf}, keyed by (exponent table content, d, p, field,
-pattern); each form applies only its coefficients, the block-weight sum,
-the modulus and the scale, in the order of eval_batch and _mixed_values,
-so every score keeps its bits.
+one draw.  So are the axes and ones vector, per (d, p, field, n), and the
+ternary grid's tuples and the monomials of their points at p in {1, inf},
+keyed by (exponent table content, d, p, field, pattern); each form applies
+only its coefficients, the block-weight sum, the modulus and the scale, in
+the order of eval_batch and _mixed_values, so every score keeps its bits.
 
 Where a classical bound is known, the estimate also stops by proof:
 _certified_upper returns, for every pattern, the largest entry modulus
@@ -424,50 +425,66 @@ def _score_grid(form, pat: Pattern, monomials: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _start_grid(support: tuple, dim: int, p: float, field: str, multiplicities: tuple[int, ...]):
     """The read-only _grid_material of the ternary grid for the forms whose
-    exponent table (coefficient keys) is support, or None past _CANDIDATE_CAP:
-    1 MB for complex (2, 1) on ell_1^3, 26 MB for real (2, 1) on ell_1^5."""
+    exponent table (coefficient keys) is support, its tuples _sphere_move-d,
+    or None past _CANDIDATE_CAP: 1 MB for complex (2, 1) on ell_1^3, 26 MB
+    for real (2, 1) on ell_1^5."""
     cands = _ternary_candidates(dim, p, field)
     if not len(cands) or len(cands) ** len(multiplicities) > _CANDIDATE_CAP:
         return None
     zero = SymmetricForm(sum(multiplicities), dim, field, dict.fromkeys(support, 0))
     tuples, monomials = _grid_material(zero, Pattern(multiplicities), cands)
+    tuples = _sphere_move(tuples, p)
     tuples.flags.writeable = monomials.flags.writeable = False
     return tuples, monomials
 
 
+@functools.lru_cache(maxsize=8)
+def _diagonal_starts(dim: int, p: float, field: str, n: int) -> np.ndarray:
+    """The axes e_i and the normalized ones vector, each _sphere_move-d and
+    filling the n blocks of one start: (d + 1, n, d), read-only."""
+    eye = np.eye(dim, dtype=np.complex128 if field == COMPLEX else np.float64)
+    rows = np.concatenate([eye, radial_normalize(np.ones((1, dim), dtype=eye.dtype), p)])
+    return np.broadcast_to(_sphere_move(rows, p)[:, None], (dim + 1, n, dim))
+
+
 def _starts(form, space, pat: Pattern, cfg: OptimizerConfig, extra_starts, diag_witness):
     """Argument tuples (H, n, d) to ascend from, and a callable that draws
-    (restarts, n, d) more: the diagonal witness, axes, the normalized ones
-    vector, the best ternary tuples at p in {1, inf} and the caller's extra
-    starts, then one seeded random tuple per restart, drawn when called.
+    (restarts, n, d) more, all on the sphere (_sphere_move-d once, row by
+    row): the diagonal witness, axes, the normalized ones vector, the best
+    ternary tuples at p in {1, inf} and the caller's extra starts, then one
+    seeded random tuple per restart, drawn when called.
 
     The ternary tuples are the top values of the product grid of class
     representatives, so no two are unit multiples block by block; the grid
-    is scored only while it has at most _CANDIDATE_CAP tuples.  Its tuples
-    and monomials (_start_grid) and the restart tuples come from small
-    per-key caches, read-only; np.concatenate copies the first.
+    is scored only while it has at most _CANDIDATE_CAP tuples.  The axes and
+    ones vector (_diagonal_starts), the grid's tuples and monomials
+    (_start_grid) and the restart tuples come from small per-key caches,
+    read-only; np.concatenate copies the first two.
     """
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
     parts = [np.empty((0, n, d), dtype)]
     if cfg.structured_starts:
-        # each of these vectors fills every block of its start
-        vectors = [np.eye(d, dtype=dtype), radial_normalize(np.ones((1, d), dtype=dtype), p)]
         if diag_witness is not None:
-            vectors.insert(0, diag_witness.astype(dtype)[None])
-        diagonal = np.concatenate(vectors)
-        parts.append(np.broadcast_to(diagonal[:, None], (len(diagonal), n, d)))
+            witness = _sphere_move(diag_witness.astype(dtype)[None], p)
+            parts.append(np.broadcast_to(witness, (1, n, d)))
+        parts.append(_diagonal_starts(d, p, form.field, n))
         if p == 1.0 or math.isinf(p):
             grid = _start_grid(tuple(form.coeffs), d, p, form.field, pat.multiplicities)
             if grid is not None:
-                vals = _score_grid(form, pat, grid[1])
-                parts.append(grid[0][np.argsort(-vals, kind="stable")[:_TOP_CANDIDATE_STARTS]])
+                neg = -_score_grid(form, pat, grid[1])
+                # the tuples not below the k-th best, in index order, hold the
+                # stable argsort's first k: only they are sorted
+                k = min(_TOP_CANDIDATE_STARTS, len(neg)) - 1
+                top = np.flatnonzero(~(neg > np.partition(neg, k)[k]))
+                parts.append(grid[0][top[np.argsort(neg[top], kind="stable")[:k + 1]]])
     if len(extra_starts):
-        parts.append(np.array([[np.asarray(x, dtype=dtype) for x in xs] for xs in extra_starts]))
+        parts.append(_sphere_move(
+            np.array([[np.asarray(x, dtype=dtype) for x in xs] for xs in extra_starts]), p))
     # as many blocks as any estimate of this form takes, so they share one draw
     blocks = max(n, form.degree if form.degree <= POLARIZE_DEGREE_CAP else 1)
-    return np.concatenate(parts), lambda: _restart_tuples(cfg.seed, cfg.restarts, blocks, d, p,
-                                                          form.field)[:, :n]
+    return np.concatenate(parts), lambda: _sphere_move(
+        _restart_tuples(cfg.seed, cfg.restarts, blocks, d, p, form.field)[:, :n], p)
 
 
 def _coordinate_moves(form, pat: Pattern, j: int, xs, vals, act) -> None:
@@ -539,9 +556,9 @@ def _gradient_moves(form, p: float, pat: Pattern, j: int, xs, vals, steps, act,
 
 def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerConfig,
                   *, upper: float | None = None, restarts=None):
-    """Cyclic block moves from every start xs0 (S, n, d) in lockstep, and
-    from restarts() after them unless upper stops the ascent on xs0 alone:
-    (values (S,), xs (S, n, d), converged (S,)).
+    """Cyclic block moves from every start xs0 (S, n, d) on the sphere in
+    lockstep, and from restarts() after them unless upper stops the ascent on
+    xs0 alone: (values (S,), xs (S, n, d), converged (S,)); xs0 is not written.
 
     converged marks the starts that met tol.  With upper, a proven upper
     bound on every value, all starts stop as soon as the best value is at
@@ -557,15 +574,13 @@ def _block_ascent(form, p: float, pat: Pattern, xs0: np.ndarray, cfg: OptimizerC
     follow alone.
     """
     stop = None if upper is None else upper * (1 - _UPPER_MARGIN)
+    xs = xs0.copy()
     if restarts is not None:
-        if stop is not None and len(xs0):
-            xs = _sphere_move(xs0.reshape(-1, xs0.shape[2]), p).reshape(xs0.shape)
-            if (vals := _values(form, pat, xs)).max() >= stop:
-                return vals, xs, np.zeros(len(xs), dtype=bool)
+        if stop is not None and len(xs) and (vals := _values(form, pat, xs)).max() >= stop:
+            return vals, xs, np.zeros(len(xs), dtype=bool)
         # all starts evaluated again: a row's rounding depends on the batch size
-        xs0 = np.concatenate([xs0, restarts()])
-    S, n, d = xs0.shape
-    xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
+        xs = np.concatenate([xs, restarts()])
+    S, n, d = xs.shape
     real_sup = form.field == REAL and math.isinf(p)
     vals = _values(form, pat, xs)
     steps = np.full((S, n), cfg.init_step)
@@ -789,9 +804,11 @@ def grid_oracle(
 
     Dense angular grids cover dim <= 3; at p in {1, inf} the sign-pattern
     extreme points, one per class of unit multiples (plus a fixed random
-    refinement stream), cover any small dimension.  Doubling the resolution
-    never decreases the value.  starts_converged is the number of tuples
-    scored: the candidate count to the power n.
+    refinement stream), cover any small dimension.  Past _CANDIDATE_CAP
+    sign patterns only the resolution random points per block are scored,
+    so the value is then a weak lower bound, not a reference.  Doubling the
+    resolution never decreases the value.  starts_converged is the number
+    of tuples scored: the candidate count to the power n.
     """
     _check_space(form, space)
     if resolution < 8:

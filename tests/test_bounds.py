@@ -309,6 +309,29 @@ def test_applicable_bounds_all_finite():
         assert math.isfinite(rec.value)
 
 
+@pytest.mark.parametrize("p", [None, 1.0, 2.0, 3.0, INF])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_applicable_bounds_hands_out_a_new_list_of_one_table_per_key(field, p):
+    # a pattern given as an int, a list, a tuple or a Pattern is one key;
+    # each call gets its own list, equal to a build from a cleared cache
+    from polarnorm import bounds
+    from polarnorm.forms import Pattern
+
+    for forms in ([3, [3], (3,), Pattern((3,))], [[2, 1], (2, 1), Pattern((2, 1))],
+                  [[1, 1], (1, 1), Pattern((1, 1))]):
+        bounds._bound_table.cache_clear()
+        cold = applicable_bounds(forms[0], p, field)
+        best = bound_best(forms[0], p, field)
+        lists = [applicable_bounds(pattern, p, field) for pattern in forms]
+        assert bounds._bound_table.cache_info().currsize == 1
+        assert all(got == cold and got is not cold for got in lists)
+        assert all(bound_best(pattern, p, field) == best for pattern in forms)
+        lists[0].clear()
+        assert applicable_bounds(forms[1], p, field) == cold
+    with pytest.raises(BoundError):
+        applicable_bounds((2, 1), p, "quaternion")
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 

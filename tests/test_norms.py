@@ -460,6 +460,15 @@ def _all_starts(form, space, pat, cfg, extra_starts, diag_witness):
 def _clear_start_caches():
     norms._restart_tuples.cache_clear()
     norms._start_grid.cache_clear()
+    norms._diagonal_starts.cache_clear()
+
+
+def _each_row_moved(starts, p):
+    """starts (S, n, d) with every (d,) row _sphere_move-d alone, as a batch of one."""
+    moved = np.empty_like(starts)
+    for s, b in np.ndindex(starts.shape[:2]):
+        moved[s, b] = _sphere_move(starts[s, b][None], p)[0]
+    return moved
 
 
 def _serial_restarts(seed, restarts, n, dim, p, field):
@@ -528,9 +537,10 @@ def test_starts_are_the_same_from_a_cold_and_a_warm_cache(field, p):
     cold = _all_starts(form, space, pat, cfg, (), None)
     warm = _all_starts(form, space, pat, cfg, (), None)
     assert np.array_equal(cold, warm) and cold.flags.writeable
-    # the restarts, last, are the draws of one generator per restart
-    assert np.array_equal(cold[-cfg.restarts:],
-                          _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field))
+    # the restarts, last, are the draws of one generator per restart, each
+    # row then moved onto the sphere once
+    serial = _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field)
+    assert np.array_equal(cold[-cfg.restarts:], _each_row_moved(serial, p))
 
 
 _PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)],
@@ -552,7 +562,8 @@ def test_restart_starts_have_the_bits_of_one_draw_per_vector(field, p, m, poly_f
             pat = as_pattern(pattern)
             starts = _all_starts(form, space, pat, cfg, (), None)
             assert starts.flags.writeable
-            assert _same_bits(starts, _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field))
+            serial = _serial_restarts(cfg.seed, cfg.restarts, pat.n, 3, p, field)
+            assert _same_bits(starts, _each_row_moved(serial, p))
             starts[:] = 0.0
     # every pattern of the form shared one read-only draw of m blocks
     assert norms._restart_tuples.cache_info().currsize == 1
@@ -571,7 +582,8 @@ def test_restart_tuples_of_fewer_blocks_are_the_first_blocks_of_more(dim, field,
 
 
 def test_cached_start_material_is_read_only():
-    draws = norms._restart_tuples(0, 4, 2, 3, 1.0, COMPLEX)
+    # the draw of the (2, 1) starts below: as many blocks as the cubic's degree
+    draws = norms._restart_tuples(0, 4, 3, 3, 1.0, COMPLEX)
     with pytest.raises(ValueError):
         draws[0, 0, 0] = 0.0
     form = random_form(np.random.default_rng(3), 3, 3, COMPLEX)
@@ -579,12 +591,84 @@ def test_cached_start_material_is_read_only():
     for arr in (tuples, monomials):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
-    before = tuples.copy()
+    before = tuples.copy(), draws.copy()
     head, restarts = _starts(form, SpaceSpec(1.0, 3, COMPLEX), as_pattern((2, 1)),
-                             OptimizerConfig(restarts=2), (), None)
-    assert head.flags.writeable and not restarts().flags.writeable
-    head[:] = 0.0
-    assert _same_bits(tuples, before)
+                             OptimizerConfig(restarts=4, seed=0), (), None)
+    # the restarts leave their draw moved onto the sphere, a new array
+    drawn = restarts()
+    assert head.flags.writeable and drawn.flags.writeable
+    head[:] = drawn[:] = 0.0
+    assert _same_bits(tuples, before[0]) and _same_bits(draws, before[1])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 49])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_a_sphere_move_gives_each_row_the_bits_it_gets_alone(p, field, dim):
+    # _starts moves each start's rows in whatever batch they come in (the
+    # cached axes, the grid, the witness, the extra starts, a restart slice),
+    # so a row's bits must not depend on its batch.  The scales put rows
+    # inside and outside the unit ball, where the l1 and sup moves branch
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((64, dim))
+    if field == COMPLEX:
+        rows = rows + 1j * rng.standard_normal((64, dim))
+    rows *= np.geomspace(0.01, 100.0, 64)[:, None]
+    rows[::7, 0] = 0.0
+    alone = np.concatenate([_sphere_move(rows[i:i + 1], p) for i in range(len(rows))])
+    for size in range(1, len(rows) + 1):
+        assert _same_bits(_sphere_move(rows[:size], p), alone[:size])
+    # a strided (S, n, d) view, as the restarts' first n blocks are
+    tuples = rows.reshape(16, 4, dim)
+    assert _same_bits(_sphere_move(tuples[:, :3], p), alone.reshape(16, 4, dim)[:, :3])
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("pattern", [(3,), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_starts_leave_on_the_sphere_as_each_raw_row_moved_once(field, p, pattern, tied):
+    # the head and the drawn restarts, from a cold and then a warm cache, are
+    # the raw starts built with nothing cached, each row moved once; the
+    # diagonal witness and two extra starts included.  The product form's
+    # grid ties many scores at the last of the best tuples kept
+    pat = as_pattern(pattern)
+    form = (product_form(pat.m, 3, field) if tied
+            else random_form(np.random.default_rng(23), pat.m, 3, field))
+    space, cfg = SpaceSpec(p, 3, field), OptimizerConfig(restarts=5, seed=8)
+    rng = np.random.default_rng(29)
+    extra_starts = rng.standard_normal((2, pat.n, 3)).tolist()
+    diag_witness = radial_normalize(rng.standard_normal(3), p).astype(
+        complex if field == COMPLEX else float)
+    _clear_start_caches()
+    expected = _each_row_moved(_stacked_starts(form, space, pat, cfg, extra_starts, diag_witness), p)
+    for _ in ("cold", "warm"):
+        head, restarts = _starts(form, space, pat, cfg, extra_starts, diag_witness)
+        assert _same_bits(head, expected[:-cfg.restarts])
+        assert _same_bits(restarts(), expected[-cfg.restarts:])
+    assert norms._diagonal_starts.cache_info().misses == 1
+
+
+def test_the_cached_axes_and_ones_vector_are_read_only_and_outlast_an_estimate():
+    # the non-attaining instance stops at its axis start e_n, so _estimate
+    # renormalizes that row of its head in place
+    from polarnorm.extremals import nonattaining_bilinear
+
+    inst = nonattaining_bilinear(9)
+    _clear_start_caches()
+    cfg = OptimizerConfig(restarts=4, seed=1)
+    estimate = poly_norm(inst.form, inst.space, cfg)
+    assert estimate.starts_converged == 0
+    cached = norms._diagonal_starts(9, 2.0, REAL, 1)
+    assert norms._diagonal_starts.cache_info().currsize == 1
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 0.0
+    raw = np.concatenate([np.eye(9), np.full((1, 9), 1 / 3)])[:, None]
+    assert _same_bits(cached, _each_row_moved(raw, 2.0))
+    before = cached.copy()
+    again = poly_norm(inst.form, inst.space, cfg)
+    assert again.value.hex() == estimate.value.hex()
+    assert _same_bits(cached, before)
 
 
 def _fresh_score_grid(form, pat, cands):
@@ -619,12 +703,15 @@ def test_grid_scores_and_starts_are_the_same_from_a_cold_and_a_warm_cache(dim, p
         if len(cands) ** pat.n > norms._CANDIDATE_CAP:
             assert got is None
         else:
-            for a, b in zip(got, _fresh_score_grid(form, pat, cands)):
-                _assert_bitwise_equal(a, b)
+            # the cached tuples are the fresh ones, each row moved onto the sphere
+            tuples, scores = _fresh_score_grid(form, pat, cands)
+            _assert_bitwise_equal(got[0], _each_row_moved(tuples, p))
+            _assert_bitwise_equal(got[1], scores)
         if not warm:
             _clear_start_caches()
         starts = _all_starts(form, space, pat, cfg, (), None)
-        _assert_bitwise_equal(starts, _stacked_starts(form, space, pat, cfg, (), None))
+        _assert_bitwise_equal(starts, _each_row_moved(
+            _stacked_starts(form, space, pat, cfg, (), None), p))
     # the cold _starts built the material once; the warm pass built nothing
     assert norms._start_grid.cache_info().misses == 1
 
@@ -674,8 +761,9 @@ def test_a_verify_run_builds_the_grid_material_once_per_pattern(monkeypatch):
 
 
 def _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness):
-    """The starts built one (n, d) array at a time and then np.stack-ed, with
-    the restarts drawn one vector at a time."""
+    """The raw starts, before any move onto the sphere, built one (n, d) array
+    at a time and then np.stack-ed, with the restarts drawn one vector at a
+    time and nothing cached."""
     d, p, n = form.dim, space.p, pat.n
     dtype = np.complex128 if form.field == COMPLEX else np.float64
     starts = []
@@ -720,7 +808,7 @@ def test_starts_have_the_bits_of_one_stacked_start_at_a_time(field, p, pattern, 
         if field == COMPLEX:
             diag_witness = diag_witness * np.exp(0.3j)
     got = _all_starts(form, space, pat, cfg, extra_starts, diag_witness)
-    expected = _stacked_starts(form, space, pat, cfg, extra_starts, diag_witness)
+    expected = _each_row_moved(_stacked_starts(form, space, pat, cfg, extra_starts, diag_witness), p)
     assert got.dtype == expected.dtype and got.flags.writeable
     assert _same_bits(got, expected)
 
@@ -1287,9 +1375,10 @@ def test_an_evaluation_has_the_bits_of_a_fresh_one_on_the_same_batch(pattern, fi
 
 
 def _fresh_block_ascent(form, p, pat, xs0, cfg):
-    """The block ascent with nothing carried: every move evaluates its batch."""
+    """The block ascent from starts xs0 on the sphere with nothing carried:
+    every move evaluates its batch."""
     S, n, d = xs0.shape
-    xs = _sphere_move(xs0.reshape(-1, d), p).reshape(S, n, d)
+    xs = xs0.copy()
     vals = _values(form, pat, xs)
     steps = np.full((S, n), cfg.init_step)
     converged = np.zeros(S, dtype=bool)
@@ -1637,11 +1726,10 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
     for upper in (leader, met):
         for a, b in zip(_block_ascent(form, 1.5, pat, starts, cfg, upper=upper), one_sweep):
             _assert_bitwise_equal(a, b)
-    # met by a start before any backtracking move: the sphere-moved starts
-    # come back as evaluated, none converged, with no kernel call after the
-    # first evaluation
-    moved = _sphere_move(starts.reshape(-1, 3), 1.5).reshape(starts.shape)
-    first = _values(form, pat, moved)
+    # met by a start before any backtracking move: the starts, already on
+    # the sphere, come back as evaluated and unmoved, none converged, with no
+    # kernel call after the first evaluation
+    first = _values(form, pat, starts)
     assert _largest_upper_met(first.max()) < leader
     calls = _count_kernel_calls(monkeypatch)
     for upper in (_largest_upper_met(first.max()), first.max(),
@@ -1650,7 +1738,7 @@ def test_an_upper_bound_stops_the_ascent_after_the_sweep_that_meets_it(field, mo
         vals, xs, converged = _block_ascent(form, 1.5, pat, starts, cfg, upper=upper)
         assert (calls["eval_batch"], calls["eval_grad_batch"]) == (1, 0)
         _assert_bitwise_equal(vals, first)
-        _assert_bitwise_equal(xs, moved)
+        _assert_bitwise_equal(xs, starts)
         assert not converged.any()
     # the other starts climb on for more sweeps, but none passes the leader:
     # the smallest upper bound it does not meet, or infinity, is never met,
