@@ -2,10 +2,11 @@
 """Run a fixed set of fixed-seed CLI commands and write what each printed.
 
 The commands cover all five subcommands, every --format, the product
-instance on both sides of its conjugate exponent, and five usage errors: a
-missing --pattern, a source flag its source does not read, a flag its
-subcommand does not take, an unknown argument before the subcommand, and
-a subcommand's flag before the subcommand.  A command
+instance on both sides of its conjugate exponent and as a single block,
+the real sup-norm coordinate moves of a two-block pattern, and five
+usage errors: a missing --pattern, a source flag its source does not read,
+a flag its subcommand does not take, an unknown argument before the
+subcommand, and a subcommand's flag before the subcommand.  A command
 that names its own --format keeps it; every other runs under --format
 json.  Every command runs from the root of this script's
 tree, so a form file it names, such as scripts/complex_cubic.json, is
@@ -68,6 +69,8 @@ COMMANDS = [
     "--seed 1 verify --pattern 2 --samples 1",
     "estimate --extremal product --pattern 2,1 --p 2",
     "verify --pattern 2,1 --field complex --p inf --d 3 --samples 10 --seed 9",
+    "verify --pattern 3,1 --field real --p inf --d 3 --samples 5 --seed 10",
+    "estimate --extremal product --pattern 3 --p 1.5",
 ]
 SUBCOMMANDS = ("bounds", "estimate", "verify", "table", "extremal")
 

@@ -155,19 +155,6 @@ def bound_hilbert(pattern) -> BoundRecord:
     )
 
 
-def _trivial_single_block(pattern) -> BoundRecord:
-    pat = as_pattern(pattern)
-    return _record(
-        "single_block",
-        0.0,
-        1.0,
-        field=BOTH,
-        pattern=pat.multiplicities,
-        sharp=True,
-        citation="diagonal block: |L(x^m)| = |P(x)| <= ||P||",
-    )
-
-
 def bound_banach_mazur(pattern, p: Optional[float] = None) -> BoundRecord:
     """n^{m|1/2-1/p|} on ell_p, n^{m/2} on arbitrary spaces (distance to ell_2^n)."""
     pat = as_pattern(pattern)
@@ -684,7 +671,8 @@ def _bound_table(multiplicities, p: Optional[float], field: str):
     all_ones = set(pat.multiplicities) == {1}
     records: list[BoundRecord] = []
     if pat.n == 1:
-        records.append(_trivial_single_block(pat))
+        records.append(replace(bound_hilbert(pat), name="single_block", p_lo=1.0, p_hi=math.inf,
+                               citation="diagonal block: |L(x^m)| = |P(x)| <= ||P||"))
     if p == 2.0:
         records.append(bound_hilbert(pat))
     if field == COMPLEX:
@@ -706,10 +694,7 @@ def _bound_table(multiplicities, p: Optional[float], field: str):
             if harris.proven:
                 records.append(harris)
     records.append(bound_banach_mazur(pat, p))
-    winner = records[0]
-    for rec in records[1:]:
-        if rec.value < winner.value:
-            winner = rec
+    winner = min(records, key=lambda rec: rec.value)
     exact, note = _registry_exact(field, multiplicities)
     note = f"from {winner.name}{note}"
     # complex_lp is kept above only where it applies

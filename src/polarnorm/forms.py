@@ -10,10 +10,13 @@ Only this module knows how monomials are stored: each form compiles once
 into a table holding, per monomial, the flat indices e*d + i of its
 nonzero exponents e, ascending in the coordinate i and padded with x_0^0 to
 the widest support of any monomial of the form, so a diagonal form gathers
-one power per monomial.  Values, gradients (one exponent lowered) and
+one power per monomial.  Values, gradients (one exponent lowered) and P's
 coordinate polynomials multiply the gathered entries of one power table
 x_i^e, 0 <= e <= m.  A padding factor 1.0 changes no bit of a real product;
-of a complex one it can change only the sign of a zero part.
+of a complex one it can change only the sign of a zero part.  A mixed value
+of several blocks sums P over block sign patterns, and its coordinate
+polynomial is solved from one evaluation at k_j + 1 nodes; a single block
+(m,) is P itself, evaluated directly.
 
 A table of width 1 holds pure powers x_i^m only, as a diagonal form does.
 Any form's largest tensor entry modulus, _tensor_top, bounds its norms at
@@ -204,6 +207,10 @@ class SymmetricForm:
         scatter = np.zeros((len(grad_rows), self.dim))
         scatter[np.arange(len(grad_rows)), coords[support]] = 1.0
         return rows, grad_rows, grad_weights, scatter
+
+    @property
+    def _pure_powers(self) -> bool:
+        return self._table[0].shape[1] == 1  # every monomial a pure power x_i^m
 
     @cached_property
     def _tensor_weights(self) -> np.ndarray:
@@ -414,16 +421,21 @@ def polarize(form: SymmetricForm, vectors: Sequence, cap: int = POLARIZE_DEGREE_
 
 
 def _polar_points(multiplicities: tuple[int, ...], tuples: np.ndarray) -> np.ndarray:
-    """Each tuple's points sum_j (2 t_j - k_j) x_j, (T, n, d) -> (T * combos, d)."""
+    """Each tuple's points sum_j (2 t_j - k_j) x_j, (T, n, d) -> (T * combos, d);
+    a single block's are its vectors, since L(x^m) = P(x)."""
+    if len(multiplicities) == 1:
+        return tuples[:, 0, :]
     mult, _, _ = _block_table(multiplicities)
     return (mult @ tuples).reshape(-1, tuples.shape[-1])
 
 
 def _polar_sum(multiplicities: tuple[int, ...], values: np.ndarray,
                modulus: bool = False) -> np.ndarray:
-    """L(x_1^{k_1} ... x_n^{k_n}) per tuple from P at its _polar_points,
-    (T * combos,) -> (T,).  With modulus, |L| is taken before the scale,
-    an order that is not interchangeable bit for bit for complex values."""
+    """L(x_1^{k_1} ... x_n^{k_n}) per tuple from P at its _polar_points, (T * combos,)
+    -> (T,), a single block's as they are.  With modulus, |L| is taken before the
+    scale, an order that is not interchangeable bit for bit for complex values."""
+    if len(multiplicities) == 1:
+        return np.abs(values) if modulus else values
     _, weights, _ = _block_table(multiplicities)
     sums = values.reshape(-1, len(weights)) @ weights
     return (np.abs(sums) if modulus else sums) * _polar_scale(sum(multiplicities))
@@ -438,48 +450,43 @@ def _mixed_values(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: 
 
 
 def _mixed_value_grad(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray):
-    """Unchecked core of eval_mixed_grad: values (T,) and block gradients
-    (T, n, d) for argument tuples (T, n, d)."""
-    _, _, grad_map = _block_table(multiplicities)
+    """Unchecked core of eval_mixed_grad: values (T,) and block gradients (T, n, d)
+    for argument tuples (T, n, d), a single block's those of eval_grad_batch."""
     vals, grads = form.eval_grad_batch(_polar_points(multiplicities, tuples))
+    if len(multiplicities) == 1:
+        return vals, grads[:, None, :]
+    _, _, grad_map = _block_table(multiplicities)
     grads = grad_map @ grads.reshape(tuples.shape[0], -1, form.dim)
     return _polar_sum(multiplicities, vals), grads * _polar_scale(sum(multiplicities))
 
 
+@lru_cache(maxsize=32)
+def _interpolation_nodes(k: int):
+    """The k + 1 Chebyshev nodes on [-1, 1] and the inverse of their Vandermonde matrix,
+    read-only: a degree-k polynomial's ascending coefficients are inverse @ its values."""
+    nodes = np.cos(np.pi * (np.arange(k + 1) + 0.5) / (k + 1))
+    inverse = np.linalg.inv(np.vander(nodes, increasing=True))
+    nodes.flags.writeable = inverse.flags.writeable = False
+    return nodes, inverse
+
+
 def _coordinate_coeffs(form: SymmetricForm, multiplicities: tuple[int, ...], tuples: np.ndarray,
                        j: int, i: int) -> np.ndarray:
-    """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...),
-    exactly, for real forms; tuples (T, n, d) -> (T, k_j + 1)."""
+    """Ascending coefficients of t -> L(... (x_j with coordinate i = t)^{k_j} ...)
+    for real forms; tuples (T, n, d) -> (T, k_j + 1).  A single block, P, reads them
+    exactly off the monomial table; several blocks solve them from one kernel call at
+    the k_j + 1 _interpolation_nodes, within the polarization sum's rounding."""
     if len(multiplicities) == 1:
-        # a single block is P itself: read the powers of t off the monomial table
         probe = tuples[:, 0, :].copy()
         probe[:, i] = 1.0
         (monomials,) = form._products(probe, form._table[0])
         powers_of_t = form._exponents[:, i, None] == np.arange(form.degree + 1)
         return (monomials * form._values) @ powers_of_t
-    # multilinear expansion of block j in the basis direction e_i
-    k_j = multiplicities[j]
-    base = tuples[:, j, :].copy()
-    base[:, i] = 0.0
-    e_i = np.zeros_like(base)
-    e_i[:, i] = 1.0
-    coeffs = np.zeros((len(tuples), k_j + 1))
-    for s in range(k_j + 1):
-        blocks, args = [], []
-        for l, k_l in enumerate(multiplicities):
-            if l == j:
-                if k_j - s > 0:
-                    blocks.append(k_j - s)
-                    args.append(base)
-                if s > 0:
-                    blocks.append(s)
-                    args.append(e_i)
-            else:
-                blocks.append(k_l)
-                args.append(tuples[:, l, :])
-        values = _mixed_values(form, tuple(blocks), np.stack(args, axis=1))
-        coeffs[:, s] = math.comb(k_j, s) * np.real(values)
-    return coeffs
+    nodes, inverse = _interpolation_nodes(multiplicities[j])
+    probes = np.repeat(tuples, len(nodes), axis=0)
+    probes[:, j, i] = np.tile(nodes, len(tuples))
+    values = np.real(_mixed_values(form, multiplicities, probes))
+    return values.reshape(len(tuples), len(nodes)) @ inverse.T
 
 
 def _mixed_arguments(form: SymmetricForm, pattern, vectors: Sequence, cap: int):
@@ -496,7 +503,7 @@ def _mixed_arguments(form: SymmetricForm, pattern, vectors: Sequence, cap: int):
 
 
 def eval_mixed(form: SymmetricForm, pattern, vectors: Sequence, cap: int = POLARIZE_DEGREE_CAP):
-    """L(x_1^{k_1} ... x_n^{k_n}) by block sign enumeration."""
+    """L(x_1^{k_1} ... x_n^{k_n}) by block sign enumeration; L(x^m) is eval_poly's P(x)."""
     out = _mixed_values(form, *_mixed_arguments(form, pattern, vectors, cap))[0]
     return complex(out) if np.iscomplexobj(out) else float(out)
 

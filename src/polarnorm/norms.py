@@ -9,7 +9,9 @@ witness can read a few ulps above the supremum.
 All three estimators run one engine, block ascent over the argument tuple
 (x_1, ..., x_n) of a pattern (k_1, ..., k_n): poly_norm is the pattern
 (m,), multilinear_norm the pattern (1, ..., 1), and mixed_norm any other.
-Each sweep moves every block in turn, holding the others fixed:
+The kernels in forms evaluate every pattern, the single block (m,) as P
+itself, so the engine never branches on the shape.  Each sweep moves
+every block in turn, holding the others fixed:
 
 - a linear block (k_j = 1) jumps to the exact maximizer of the linear
   functional it sees, by dual-norm alignment;
@@ -336,23 +338,15 @@ def _restart_tuples(seed: int, restarts: int, blocks: int, dim: int, p: float,
 
 # ---------------------------------------------------------------------------
 # block values and gradients
-#
-# A single block is P itself, so every helper evaluates it directly rather
-# than through the block sign table.
 
 
 def _values(form: SymmetricForm, pat: Pattern, tuples: np.ndarray) -> np.ndarray:
     """|L(x_1^{k_1} ... x_n^{k_n})| for each argument tuple; tuples (T, n, d)."""
-    if pat.n == 1:
-        return np.abs(form.eval_batch(tuples[:, 0, :]))
     return _mixed_values(form, pat.multiplicities, tuples, modulus=True)
 
 
 def _value_grads(form: SymmetricForm, pat: Pattern, tuples: np.ndarray):
     """Signed values (T,) and block gradients (T, n, d) of tuples (T, n, d)."""
-    if pat.n == 1:
-        vals, grads = form.eval_grad_batch(tuples[:, 0, :])
-        return vals, grads[:, None, :]
     return _mixed_value_grad(form, pat.multiplicities, tuples)
 
 
@@ -412,14 +406,12 @@ def _grid_material(form, pat: Pattern, cands: np.ndarray):
     row-major in the candidate indices, and the _monomials of their points."""
     combos = np.indices((len(cands),) * pat.n).reshape(pat.n, -1).T
     tuples = cands[combos]
-    points = tuples[:, 0, :] if pat.n == 1 else _polar_points(pat.multiplicities, tuples)
-    return tuples, form._monomials(points)
+    return tuples, form._monomials(_polar_points(pat.multiplicities, tuples))
 
 
 def _score_grid(form, pat: Pattern, monomials: np.ndarray) -> np.ndarray:
     """The per-form half: |L| (T,), by the operations and bits of _values."""
-    values = form._eval_monomials(monomials)
-    return np.abs(values) if pat.n == 1 else _polar_sum(pat.multiplicities, values, modulus=True)
+    return _polar_sum(pat.multiplicities, form._eval_monomials(monomials), modulus=True)
 
 
 @functools.lru_cache(maxsize=4)
@@ -625,7 +617,7 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
       vertex tuples (e_{i_1}, ..., e_{i_m}) up to unit scalars, where it is
       a tensor entry; every pattern's value is a value of L.  This is the
       multilinear norm, and for a pure-power form it is max|a_i|.
-    - Width 1, P = sum_i a_i x_i^m, p <= m: |L| <= max|a_i| sum_i prod_j
+    - Pure powers, P = sum_i a_i x_i^m, p <= m: |L| <= max|a_i| sum_i prod_j
       |x_{j,i}|^{k_j} <= max|a_i| prod_j ||x_j||_m^{k_j} <= max|a_i|, by
       Hoelder with exponents m / k_j and ||x||_m <= ||x||_p.  The weight
       m!/m! of x_i^m is exactly 1.0, so the tensor top is max|a_i| bit for bit.
@@ -635,7 +627,7 @@ def _certified_upper(form: SymmetricForm, p: float) -> float | None:
     The first is attained by the multilinear pattern at a vertex tuple; the
     other two by every pattern, at an axis and at a singular vector.
     """
-    if p == 1.0 or (form._table[0].shape[1] == 1 and p <= form.degree):
+    if p == 1.0 or (form._pure_powers and p <= form.degree):
         return form._tensor_top
     if form.degree == 2 and p == 2.0:
         return float(np.linalg.norm(form._tensor, 2))

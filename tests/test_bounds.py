@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from polarnorm.bounds import (
     BoundError,
+    BoundRecord,
     applicable_bounds,
     asymptotic_scan,
     bernstein_pointwise,
@@ -294,6 +295,15 @@ def test_bound_best_single_block():
     for field in ("real", "complex"):
         rec = bound_best((4,), None, field)
         assert rec.value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [None, 1.0, 2.0, math.inf])
+def test_the_single_block_record_holds_on_every_p(p):
+    for field in ("real", "complex"):
+        rec = applicable_bounds((3,), p, field)[0]
+        assert rec == BoundRecord(
+            "single_block", 1.0, 0.0, "both", p_lo=1.0, p_hi=math.inf, pattern=(3,), sharp=True,
+            citation="diagonal block: |L(x^m)| = |P(x)| <= ||P||")
 
 
 def test_bound_best_fills_complex_lp_gap():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from polarnorm.forms import (
     MultiIndex,
     Pattern,
     SpaceSpec,
+    SymmetricForm,
     _coordinate_coeffs,
+    _interpolation_nodes,
     complexify_eval,
     complexify_form,
     conjugate_exponent,
@@ -491,6 +494,7 @@ def test_pure_power_forms_evaluate_with_the_bits_of_the_dense_scatter(field, poi
                                 else complex(*rng.standard_normal(2))))
             form = make_form(m, d, field, entries)
             assert form._table[0].shape[1] == (1 if entries else 0)
+            assert form._pure_powers == bool(entries)
             for n in (1, 2, 33, 132):
                 pts = rng.standard_normal((n, d))
                 if point_field == COMPLEX:
@@ -508,20 +512,96 @@ def test_pure_power_forms_evaluate_with_the_bits_of_the_dense_scatter(field, poi
                     np.testing.assert_array_equal(_bits(got), _bits(ref))
 
 
-@pytest.mark.parametrize("pattern", [(3,), (2, 2)])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_a_single_block_evaluates_p_itself(field):
+    # L(x^m) = P(x): eval_mixed and eval_mixed_grad of the pattern (m,) read
+    # eval_poly and eval_grad_batch bit for bit, not an (m + 1)-term sum
+    rng = np.random.default_rng(53)
+    for m in range(1, 6):
+        for d in (1, 3):
+            form = random_form(rng, m, d, field)
+            for _ in range(4):
+                x = rng.standard_normal(d)
+                if field == COMPLEX:
+                    x = x + 1j * rng.standard_normal(d)
+                assert _bits(np.array(eval_mixed(form, (m,), [x]))).tolist() == \
+                    _bits(np.array(eval_poly(form, x))).tolist()
+                value, grads = eval_mixed_grad(form, (m,), [x])
+                ref_values, ref_grads = form.eval_grad_batch(x[None])
+                assert grads.shape == (1, d)
+                np.testing.assert_array_equal(_bits(np.array(value)), _bits(ref_values[0]))
+                np.testing.assert_array_equal(_bits(grads[0]), _bits(ref_grads[0]))
+
+
+@pytest.mark.parametrize("pattern", [(3,), (2, 2), (2, 1), (1, 2), (3, 1), (1, 1, 2), (4, 2)])
 def test_coordinate_coeffs_reproduce_the_mixed_value(pattern):
     rng = np.random.default_rng(37)
     form = random_form(rng, sum(pattern), 3)
     xs = rng.uniform(-1.0, 1.0, (len(pattern), 3))
+    ts = np.linspace(-1.0, 1.0, 9)
     for j in range(len(pattern)):
         for i in range(3):
             coeffs = _coordinate_coeffs(form, pattern, xs[None], j, i)[0]
             assert len(coeffs) == pattern[j] + 1
-            for t in (-1.0, -0.3, 0.5, 1.0):
+            expected = []
+            for t in ts:
                 probe = xs.copy()
                 probe[j, i] = t
-                expected = eval_mixed(form, pattern, list(probe))
-                assert abs(np.polynomial.polynomial.polyval(t, coeffs) - expected) <= 1e-12
+                expected.append(eval_mixed(form, pattern, list(probe)))
+            top = np.abs(expected).max()
+            got = np.polynomial.polynomial.polyval(ts, coeffs)
+            assert np.abs(got - expected).max() <= 1e-13 * top
+
+
+def test_single_block_coordinate_coeffs_are_exact_at_degree_12():
+    # a single block reads its coefficients off the monomial table, each a
+    # sum of a_alpha times a product of powers, against exact rationals
+    rng = np.random.default_rng(71)
+    form = random_form(rng, 12, 3)
+    x = rng.uniform(-1.0, 1.0, 3)
+    for i in range(3):
+        exact = [Fraction(0)] * 13
+        for alpha, a in form.coeffs.items():
+            term = Fraction(a)
+            for l, e_l in enumerate(alpha.exponents):
+                if l != i:
+                    term *= Fraction(x[l]) ** e_l
+            exact[alpha.exponents[i]] += term
+        exact = np.array([float(c) for c in exact])
+        got = _coordinate_coeffs(form, (12,), x[None, None], 0, i)[0]
+        top = np.abs(np.polynomial.polynomial.polyval(np.linspace(-1.0, 1.0, 201), exact)).max()
+        assert np.abs(got - exact).max() <= 1e-15 * top
+
+
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 3), (2, 2, 1)])
+def test_a_multi_block_coordinate_polynomial_is_one_kernel_call(pattern, monkeypatch):
+    form = random_form(np.random.default_rng(73), sum(pattern), 3)
+    calls = []
+    eval_batch = SymmetricForm.eval_batch
+    monkeypatch.setattr(SymmetricForm, "eval_batch",
+                        lambda self, points: calls.append(len(points)) or eval_batch(self, points))
+    xs = np.random.default_rng(74).uniform(-1.0, 1.0, (5, len(pattern), 3))
+    for j, k_j in enumerate(pattern):
+        calls.clear()
+        _coordinate_coeffs(form, pattern, xs, j, 1)
+        combos = math.prod(k + 1 for k in pattern)
+        assert calls == [5 * (k_j + 1) * combos]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 19])
+def test_the_interpolation_nodes_are_cached_read_only(k):
+    nodes, inverse = _interpolation_nodes(k)
+    assert _interpolation_nodes(k)[1] is inverse
+    assert nodes.shape == (k + 1,) and inverse.shape == (k + 1, k + 1)
+    assert np.all(np.abs(nodes) < 1.0) and len(set(nodes.tolist())) == k + 1
+    for arr in (nodes, inverse):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the inverse solves for ascending coefficients at the nodes
+    coeffs = np.random.default_rng(k).standard_normal(k + 1)
+    values = np.polynomial.polynomial.polyval(nodes, coeffs)
+    np.testing.assert_allclose(inverse @ values, coeffs, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

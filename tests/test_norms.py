@@ -1964,13 +1964,12 @@ def test_the_restarts_join_the_ascent_as_if_drawn_up_front(field, monkeypatch):
     assert len(drawn) == 2
     # a bound they meet: they alone come back as evaluated, none converged,
     # with one kernel call and no draw
-    moved = _sphere_move(head.reshape(-1, 3), 1.5).reshape(head.shape)
-    first = _values(form, pat, moved)
+    first = _values(form, pat, head)
     (vals, xs, converged), lazy = counted(form, 1.5, pat, head, cfg, upper=first.max(),
                                           restarts=draw)
     assert lazy == 1 and len(drawn) == 2 and not converged.any()
     _assert_bitwise_equal(vals, first)
-    _assert_bitwise_equal(xs, moved)
+    _assert_bitwise_equal(xs, head)
     # no structured start: the restarts are drawn at once
     none, draw_only = _starts(form, space, pat, replace(cfg, structured_starts=False), (), None)
     assert none.shape == (0, pat.n, 3)
